@@ -1,10 +1,11 @@
 """Empirical estimators, kernel distances, and scaling-limit studies.
 
 The estimators turn point configurations into binned one- and two-point
-correlation estimates with Poisson error bars.  The study functions build
-the rescaled finite-size kernels around a bulk point or an edge, measure
-their distance to the matching limit kernel, and fit the decay rate; the
-committed reference values for those runs live in :mod:`fermibox.baselines`.
+correlation estimates, the density with Poisson error bars, the pair
+correlation with errors from the across-sample spread.  The study functions
+build the rescaled finite-size kernels around a bulk point or an edge,
+measure their distance to the matching limit kernel, and fit the decay rate;
+the committed reference values for those runs live in :mod:`fermibox.baselines`.
 """
 
 from __future__ import annotations

@@ -618,6 +618,11 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     """Parse and dispatch; returns the process exit code."""
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a separate value starting with '-' as an option
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--grid" and argv[i].startswith("-"):
+            argv[i - 1:i + 1] = ["--grid=" + argv[i]]
     try:
         args = parser.parse_args(argv)
     except UsageError as err:

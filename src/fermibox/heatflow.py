@@ -27,7 +27,6 @@ __all__ = [
     "FAMILIES",
     "MixtureReport",
     "NonPositiveDeterminant",
-    "circle_propagator",
     "gc_mixture_check",
     "heat_propagator",
     "km_log_density",
@@ -124,20 +123,6 @@ def heat_propagator(family: str, t: float, eps: float = 1e-14):
     return lambda x, y: (
         _theta_full(np.asarray(x, float) - np.asarray(y, float), tau, eps)
         + _theta_full(np.asarray(x, float) + np.asarray(y, float), tau, eps)) / TWO_PI
-
-
-def circle_propagator(t: float, eps: float = 1e-14):
-    """Periodic heat kernel (1/2pi) theta3((x - y)/2pi, t).
-
-    Here the theta time already absorbs the 1/2 from the generator, so this
-    equals the family-A propagator at physical time 2t.  Both conventions
-    are kept on purpose; pick by whether a formula quotes exp(-k^2 t) or
-    exp(-k^2 t / 2) weights.
-    """
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
-    return lambda x, y: theta3(
-        (np.asarray(x, float) - np.asarray(y, float)) / TWO_PI, t, eps) / TWO_PI
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +227,8 @@ def km_mcmc(family: str, t: float, n: int, steps: int, rng,
     nonpositive weight are rejected.  Returns (samples, acceptance_rate),
     samples shaped (kept, n); acceptance below 1% triggers a warning.
     """
+    if t <= 0:
+        raise ValueError(f"time must be positive, got {t}")
     if n < 1:
         raise ValueError("need at least one loop")
     if family == "A" and n % 2 == 0:
@@ -291,8 +278,8 @@ def km_mcmc(family: str, t: float, n: int, steps: int, rng,
 class MixtureReport:
     """Comparison of sampled grand-canonical statistics with kernel predictions.
 
-    z-scores use the Gaussian approximation to binned counts; under the
-    model about 0.3% of bins should exceed |z| = 3.
+    z-scores use the Gaussian approximation to binned counts with Poisson
+    variance.
     """
 
     temperature: float

@@ -7,11 +7,15 @@ these match the eigenangle kernels of the unitary, symplectic and orthogonal
 groups after doubling the angle.  Finite-temperature (grand canonical) states
 replace the sharp filling by Fermi weights.  Everything evaluates pointwise
 with numpy broadcasting; `evaluate_grid` gives the outer-product matrix.
+
+Single-particle modes, closed-form or solved, are rows of one array-backed
+`ModeFamily` (energy, kind code, frequency, two coefficients); `eval_matrix`
+evaluates all rows of a kind in one numpy expression.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +28,7 @@ from .boundary import (
     make_preset,
     to_json as boundary_to_json,
 )
-from .spectral import Spectrum, eigenfunction_eval, solve_spectrum
+from .spectral import EigenMode, Spectrum, solve_spectrum
 from .thermo import fermi_factor
 
 __all__ = [
@@ -140,68 +144,97 @@ def group_kernel(group: str, n: int) -> Kernel:
 # mode families
 
 
+# Row formulas by kind code.  Each repeats the floating-point operations of
+# the closed form or `spectral.eigenfunction_eval` branch it replaces, so
+# families evaluate to the same bits.  The norm of the first three is
+# `a.real`: numpy divides by a complex `a` through its reciprocal.
+_ROWS = (
+    lambda w, a, b, x: np.sin(w * x) / a.real,                    # SIN
+    lambda w, a, b, x: np.cos(w * x) / a.real,                    # COS
+    lambda w, a, b, x: np.exp(1j * w * x) / a.real,               # WAVE
+    lambda w, a, b, x: a * np.cos(w * x) + b * np.sin(w * x),     # TRIG
+    lambda w, a, b, x: a + b * x,                                 # LINEAR
+    lambda w, a, b, x: a * np.exp(-w * x) + b * np.exp(-w * (TWO_PI - x)),  # DECAY
+)
+SIN, COS, WAVE, TRIG, LINEAR, DECAY = range(len(_ROWS))
+
+
 @dataclass(frozen=True)
 class ModeFamily:
-    """Orthonormal single-particle modes with an evaluation matrix."""
+    """Orthonormal modes as rows: mode k is _ROWS[kind[k]](w[k], a[k], b[k], x).
+
+    Scalar fields broadcast over the modes; ``family[idx]`` is the family of
+    the selected rows.
+    """
 
     energies: np.ndarray
-    _evals: tuple[Callable, ...] = field(repr=False)
+    kind: np.ndarray
+    w: np.ndarray
+    a: np.ndarray
+    b: np.ndarray = 0.0
+
+    def __post_init__(self):
+        n = np.shape(self.energies)
+        for name, dtype in (("energies", float), ("kind", int), ("w", float),
+                            ("a", complex), ("b", complex)):
+            object.__setattr__(self, name, np.array(np.broadcast_to(getattr(self, name), n), dtype=dtype))
 
     def __len__(self) -> int:
-        return len(self._evals)
+        return len(self.energies)
+
+    def __getitem__(self, idx) -> "ModeFamily":
+        return ModeFamily(self.energies[idx], self.kind[idx], self.w[idx],
+                          self.a[idx], self.b[idx])
 
     def eval_matrix(self, xs) -> np.ndarray:
+        """phi[k, ...] = psi_k(xs), all rows of one kind in one expression."""
         xs = np.asarray(xs, dtype=float)
-        return np.array([f(xs) for f in self._evals], dtype=complex)
+        out = np.empty((len(self), xs.size), dtype=complex)
+        for code, row in enumerate(_ROWS):
+            sel = np.flatnonzero(self.kind == code)
+            if len(sel):
+                out[sel] = row(self.w[sel, None], self.a[sel, None],
+                               self.b[sel, None], xs.ravel())
+        return out.reshape((len(self),) + xs.shape)
 
 
 def _closed_family(label: str, count: int) -> ModeFamily | None:
     """Closed-form families for the separable presets; None if no closed form."""
     sp = np.sqrt(np.pi)
-
-    def sin_mode(k):
-        return lambda x, _k=k: np.sin(_k * x / 2.0) / sp
-
-    def cos_mode(k):
-        return lambda x, _k=k: np.cos(_k * x / 2.0) / sp
-
-    def exp_mode(k):
-        return lambda x, _k=k: np.exp(1j * _k * x) / np.sqrt(TWO_PI)
-
     if label == "dirichlet":
-        funcs = [sin_mode(k) for k in range(1, count + 1)]
-        energies = [(k / 2.0) ** 2 for k in range(1, count + 1)]
-    elif label == "neumann":
-        funcs = [lambda x: np.full_like(x, 1.0 / np.sqrt(TWO_PI), dtype=float)]
-        funcs += [cos_mode(k) for k in range(1, count)]
-        energies = [0.0] + [(k / 2.0) ** 2 for k in range(1, count)]
-    elif label == "zaremba":
-        funcs = [sin_mode(k + 0.5) for k in range(count)]
-        energies = [((2 * k + 1) / 4.0) ** 2 for k in range(count)]
-    elif label == "periodic":
-        ks: list[int] = [0]
-        while len(ks) < count:
-            nxt = len(ks) // 2 + 1
-            ks += [-nxt, nxt]
-        ks = ks[:count]
-        funcs = [exp_mode(k) for k in ks]
-        energies = [float(k * k) for k in ks]
-        if count % 2 == 0:
-            # the top shell is half filled; take its even (cosine) member,
-            # matching the deterministic null-vector order of the solver
-            top = count // 2
-            funcs[-1] = cos_mode(2 * top)
-            energies[-1] = float(top * top)
-    else:
-        return None
-    return ModeFamily(energies=np.asarray(energies, dtype=float), _evals=tuple(funcs))
+        w = np.arange(1, count + 1) / 2.0
+        return ModeFamily(w**2, SIN, w, sp)
+    if label == "neumann":
+        w = np.arange(count) / 2.0
+        return ModeFamily(w**2, COS, w, np.where(w == 0.0, np.sqrt(TWO_PI), sp))
+    if label == "zaremba":
+        w = (np.arange(count) + 0.5) / 2.0
+        return ModeFamily(w**2, SIN, w, sp)
+    if label == "periodic":
+        j = np.arange(count)
+        ks = np.where(j % 2, -1.0, 1.0) * ((j + 1) // 2)      # 0, -1, 1, -2, 2, ...
+        # an even count half fills the top shell; take its even (cosine)
+        # member, matching the deterministic null-vector order of the solver
+        top = (j % 2 == 1) & (j == count - 1)
+        return ModeFamily(ks**2, np.where(top, COS, WAVE), np.where(top, -ks, ks),
+                          np.where(top, sp, np.sqrt(TWO_PI)))
+    return None
+
+
+def _spectral_row(mode: EigenMode) -> tuple[int, float, complex, complex]:
+    if mode.kind == "trig":
+        return TRIG, mode.omega, mode.a, mode.b
+    if mode.kind == "linear":
+        return LINEAR, 0.0, mode.a, mode.b
+    if mode.decay is None:
+        # rebuilding the pair from a cosh/sinh one cancels catastrophically
+        raise ValueError("hyperbolic modes need their decaying-basis pair")
+    return (DECAY, mode.kappa, *mode.decay)
 
 
 def _family_from_spectrum(spectrum: Spectrum) -> ModeFamily:
-    funcs = tuple(
-        (lambda x, _m=m: eigenfunction_eval(_m, x)) for m in spectrum.modes
-    )
-    return ModeFamily(energies=spectrum.energies, _evals=funcs)
+    rows = [_spectral_row(m) for m in spectrum.modes]
+    return ModeFamily(spectrum.energies, *(zip(*rows) if rows else ((),) * 4))
 
 
 def _source_to_bc(source) -> BoundaryMatrix:
@@ -244,9 +277,7 @@ def ground_state_modes(source, n: int) -> ModeFamily:
     if isinstance(source, Spectrum):
         if len(source) < n:
             source = solve_spectrum(source.bc, count=n)
-        return _family_from_spectrum(
-            Spectrum(source.bc, source.modes[:n], source.modes[n - 1].energy)
-        )
+        return _family_from_spectrum(source)[:n]
     bc = _source_to_bc(source)
     fam = _closed_family(bc.label, n)
     if fam is not None:
@@ -314,11 +345,8 @@ def _closed_finite_t_family(label: str, t: float, mu: float, eps: float) -> Mode
         j += 1
     count = j - first + 1
     if label == "periodic":
-        ks = range(-j, j + 1)
-        sq = np.sqrt(TWO_PI)
-        funcs = [(lambda x, _k=k: np.exp(1j * _k * x) / sq) for k in ks]
-        energies = [float(k * k) for k in ks]
-        return ModeFamily(np.asarray(energies), tuple(funcs))
+        ks = np.arange(-j, j + 1, dtype=float)
+        return ModeFamily(ks**2, WAVE, ks, np.sqrt(TWO_PI))
     return _closed_family(label, count)
 
 

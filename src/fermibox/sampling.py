@@ -1,11 +1,11 @@
-"""Exact samplers: projection determinantal processes, their grand-canonical
+"""Samplers: projection determinantal processes, their grand-canonical
 mixtures, and Haar eigenangles of the compact matrix groups.
 
 Projection processes are drawn by the sequential conditioning scheme: pick a
 point from the current marginal density, project its feature vector out of
-the span, repeat.  The marginal is discretized on a uniform cell grid and the
-chosen cell is refined locally before the final uniform draw, so accepted
-points carry no rejection loop.
+the span, repeat.  The marginal is approximated, not sampled exactly: a cell
+of a CELLS-cell midpoint grid is drawn, refined up to MAX_REFINE times into
+SUBCELLS midpoint subcells, and the point drawn uniformly in the last one.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import ModeFamily
+from .kernels import COS, SIN, WAVE, ModeFamily
 from .thermo import fermi_factor
 
 __all__ = [
@@ -78,37 +78,22 @@ def group_modes(group: str, n: int) -> tuple[ModeFamily, float]:
     """
     if n < 1:
         raise ValueError(f"matrix size must be positive, got {n}")
-    sq_pi = np.sqrt(np.pi)
+    half_pi = np.sqrt(np.pi / 2.0)
     if group == "U":
-        if n % 2:
-            ks = np.arange(-(n - 1) // 2, (n - 1) // 2 + 1, dtype=float)
-        else:
-            ks = np.arange(-n + 1, n, 2, dtype=float) / 2.0
-        funcs = tuple(
-            (lambda x, _k=k: np.exp(1j * _k * x) / np.sqrt(TWO_PI)) for k in ks
-        )
-        return ModeFamily(ks**2, funcs), TWO_PI
+        ks = np.arange(-n + 1, n, 2, dtype=float) / 2.0
+        return ModeFamily(ks**2, WAVE, ks, np.sqrt(TWO_PI)), TWO_PI
     if group == "Sp":
         if n % 2:
             raise ValueError("symplectic groups have even matrix size")
         ks = np.arange(1, n // 2 + 1, dtype=float)
-        funcs = tuple(
-            (lambda x, _k=k: np.sqrt(2.0 / np.pi) * np.sin(_k * x)) for k in ks
-        )
-        return ModeFamily(ks**2, funcs), np.pi
+        return ModeFamily(ks**2, SIN, ks, half_pi), np.pi
     if group == "SO":
         if n % 2 == 0:
             ks = np.arange(0, n // 2, dtype=float)
-            funcs = tuple(
-                (lambda x, _k=k: np.full_like(x, 1.0 / sq_pi) if _k == 0
-                 else np.sqrt(2.0 / np.pi) * np.cos(_k * x)) for k in ks
-            )
-        else:
-            ks = np.arange(1, n // 2 + 1, dtype=float) - 0.5
-            funcs = tuple(
-                (lambda x, _k=k: np.sqrt(2.0 / np.pi) * np.sin(_k * x)) for k in ks
-            )
-        return ModeFamily(ks**2, funcs), np.pi
+            norm = np.where(ks == 0.0, np.sqrt(np.pi), half_pi)
+            return ModeFamily(ks**2, COS, ks, norm), np.pi
+        ks = np.arange(1, n // 2 + 1, dtype=float) - 0.5
+        return ModeFamily(ks**2, SIN, ks, half_pi), np.pi
     raise ValueError(f"unknown group {group!r}; use U, Sp or SO")
 
 
@@ -137,21 +122,15 @@ def _refine_cell(family, basis, lo: float, hi: float, rng) -> float:
     return float(rng.uniform(lo, hi))
 
 
-def _sample_points(family, sub: np.ndarray, phi_cells: np.ndarray,
-                   edges: np.ndarray, rng) -> np.ndarray:
-    """One draw of the projection process onto the modes listed in `sub`."""
-    n_pick = len(sub)
+def _sample_points(family: ModeFamily, phi: np.ndarray, edges: np.ndarray,
+                   rng) -> np.ndarray:
+    """One draw of the projection process onto `family`, whose modes take
+    the values `phi` at the cell midpoints."""
+    n_pick = len(family)
     picked = np.empty(n_pick)
-    phi = phi_cells[sub]
     base = np.sum(np.abs(phi) ** 2, axis=0)
     proj = np.zeros_like(base)
     widths = np.diff(edges)
-
-    class _SubFamily:
-        # view of the family restricted to the selected modes
-        @staticmethod
-        def eval_matrix(xs):
-            return family.eval_matrix(xs)[sub]
 
     basis: list[np.ndarray] = []
     for step in range(n_pick):
@@ -164,15 +143,16 @@ def _sample_points(family, sub: np.ndarray, phi_cells: np.ndarray,
         idx = int(np.searchsorted(np.cumsum(weights) / total, rng.random(),
                                   side="right"))
         idx = min(idx, len(weights) - 1)
-        x = _refine_cell(_SubFamily, np.array(basis) if basis else None,
+        x = _refine_cell(family, np.array(basis) if basis else None,
                          edges[idx], edges[idx + 1], rng)
         picked[step] = x
 
-        v = _SubFamily.eval_matrix(np.array([x]))[:, 0]
+        phi_x = family.eval_matrix(np.array([x]))[:, 0]
+        v = phi_x
         for b in basis:
             v = v - b * np.vdot(b, v)
         nrm = np.linalg.norm(v)
-        if nrm**2 <= 1e-12 * np.sum(np.abs(_SubFamily.eval_matrix(np.array([x]))[:, 0]) ** 2):
+        if nrm**2 <= 1e-12 * np.sum(np.abs(phi_x) ** 2):
             raise SamplerError("picked a point already inside the span")
         b = v / nrm
         basis.append(b)
@@ -189,9 +169,7 @@ def _cell_cache(family, domain: tuple[float, float]):
 def sample_projection(family: ModeFamily, rng,
                       domain: tuple[float, float] = (0.0, TWO_PI)) -> np.ndarray:
     """One configuration of the projection process; always len(family) points."""
-    rng = make_rng(rng)
-    phi_cells, edges = _cell_cache(family, domain)
-    return _sample_points(family, np.arange(len(family)), phi_cells, edges, rng)
+    return sample_projection_many(family, 1, rng, domain)[0]
 
 
 def sample_projection_many(family: ModeFamily, count: int, rng,
@@ -199,10 +177,9 @@ def sample_projection_many(family: ModeFamily, count: int, rng,
     """`count` independent configurations, shape (count, len(family))."""
     rng = make_rng(rng)
     phi_cells, edges = _cell_cache(family, domain)
-    sub = np.arange(len(family))
     out = np.empty((count, len(family)))
     for i in range(count):
-        out[i] = _sample_points(family, sub, phi_cells, edges, rng)
+        out[i] = _sample_points(family, phi_cells, edges, rng)
     return out
 
 
@@ -230,7 +207,8 @@ def sample_grand_canonical_many(family: ModeFamily, t: float, mu: float,
         if len(occupied) == 0:
             out.append(np.empty(0))
             continue
-        out.append(_sample_points(family, occupied, phi_cells, edges, rng))
+        out.append(_sample_points(family[occupied], phi_cells[occupied],
+                                  edges, rng))
     return out
 
 

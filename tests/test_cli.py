@@ -89,6 +89,10 @@ def test_exit_codes_usage_numerical_baseline():
         (["spectrum", "--bc", "dirichlet", "--count", "2", "--seed", "-1"], 1),
         (["km", "density", "--family", "C", "--t", "1.0",
           "--points", "1.0,1.0,2.0"], 2),
+        (["km", "mcmc", "--family", "A", "--t", "0", "--n", "3",
+          "--steps", "10"], 1),
+        (["km", "mcmc", "--family", "A", "--t", "-1", "--n", "3",
+          "--steps", "10"], 1),
         (["verify", "--study", "bulk", "--bc", "neumann",
           "--sizes", "25,50"], 3),
     ]
@@ -152,6 +156,21 @@ def test_kernel_eval_json_spec_round_trips():
     again = kernel_spec(parse_kernel_spec(doc["spec"]))
     assert again == doc["spec"]
     assert len(doc["rows"]) == 9
+
+
+def test_negative_grid_axes_in_both_spellings(tmp_path):
+    target = tmp_path / "grid.csv"
+    for argv in (["kernel", "eval", "--spec", '{"Limit":{"Sine":{}}}',
+                  "--grid", "-1:1:3,-1:1:3"],
+                 ["verify", "--study", "bulk", "--bc", "dirichlet",
+                  "--sizes", "25,50", "--grid", "-2:2:33"]):
+        outputs = []
+        for glued in (False, True):
+            spelled = argv[:-2] + ["--grid=" + argv[-1]] if glued else argv
+            code, _, err = run_cli(spelled + ["--out", str(target)])
+            assert code == 0, (spelled, err)
+            outputs.append(target.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 def test_out_flag_writes_the_same_payload(tmp_path):

@@ -120,20 +120,11 @@ def test_family_c_matches_sine_expansion():
     assert_allclose(float(p(x, y)), direct, atol=1e-13)
 
 
-def test_circle_propagator_is_family_a_at_doubled_time():
-    pc = hf.circle_propagator(0.4)
-    pa = hf.heat_propagator("A", 0.8)
-    xs = RNG.uniform(0, TWO_PI, size=6)
-    assert_allclose(pc(xs, 0.3), pa(xs, 0.3), atol=1e-15)
-
-
 def test_propagator_validation():
     with pytest.raises(ValueError):
         hf.heat_propagator("E", 1.0)
     with pytest.raises(ValueError):
         hf.heat_propagator("A", 0.0)
-    with pytest.raises(ValueError):
-        hf.circle_propagator(-0.1)
 
 
 # ---------------------------------------------------------------------------

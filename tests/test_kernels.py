@@ -16,7 +16,7 @@ from scipy.special import jv, jvp
 
 from fermibox import kernels as kn
 from fermibox.boundary import make_boundary, make_preset
-from fermibox.spectral import solve_spectrum
+from fermibox.spectral import EigenMode, Spectrum, eigenfunction_eval, solve_spectrum
 from fermibox.thermo import fermi_factor, solve_lambda, solve_mu
 
 RNG = np.random.default_rng(523)
@@ -176,6 +176,88 @@ def test_ground_state_modes_validation():
         kn.ground_state_modes("dirichlet", 0)
     with pytest.raises(TypeError):
         kn.ground_state_modes(3.14, 2)
+
+
+# ---------------------------------------------------------------------------
+# mode families
+
+# cell midpoints, refinement subcells, a single point and points off the box
+MODE_XS = (np.linspace(0.0, TWO_PI, 4097)[:-1] + np.pi / 4096,
+           np.linspace(1.0, 1.001, 64), np.array([2.5]),
+           np.random.default_rng(11).uniform(-1.0, 7.0, 301))
+
+
+def closed_rows(label, count, x):
+    """The separable presets' modes, one closed formula per mode."""
+    sp, sq = np.sqrt(np.pi), np.sqrt(TWO_PI)
+    if label == "dirichlet":
+        return [np.sin(k * x / 2.0) / sp for k in range(1, count + 1)]
+    if label == "neumann":
+        return ([np.full_like(x, 1.0 / sq)]
+                + [np.cos(k * x / 2.0) / sp for k in range(1, count)])
+    if label == "zaremba":
+        return [np.sin((k + 0.5) * x / 2.0) / sp for k in range(count)]
+    ks = [0] + [s * m for m in range(1, count) for s in (-1, 1)]
+    rows = [np.exp(1j * k * x) / sq for k in ks[:count]]
+    if count % 2 == 0:
+        rows[-1] = np.cos(2 * (count // 2) * x / 2.0) / sp
+    return rows
+
+
+def test_closed_families_equal_closed_formulas_bitwise():
+    for label in ("dirichlet", "neumann", "zaremba", "periodic"):
+        for n in (1, 2, 7, 8, 100):
+            fam = kn.ground_state_modes(label, n)
+            for x in MODE_XS:
+                want = np.array(closed_rows(label, n, x), dtype=complex)
+                assert np.array_equal(fam.eval_matrix(x), want), (label, n)
+
+
+def test_finite_t_shells_equal_closed_formulas_bitwise():
+    for t, mu in ((1.0, 2.0), (2.0, 9.0), (30.0, 40.0)):
+        dirichlet = kn.finite_t_modes("dirichlet", t, mu)
+        periodic = kn.finite_t_modes("periodic", t, mu)
+        j = (len(periodic) - 1) // 2
+        for x in MODE_XS:
+            want = np.array(closed_rows("dirichlet", len(dirichlet), x), dtype=complex)
+            assert np.array_equal(dirichlet.eval_matrix(x), want)
+            want = np.array([np.exp(1j * k * x) / np.sqrt(TWO_PI)
+                             for k in range(-j, j + 1)])
+            assert np.array_equal(periodic.eval_matrix(x), want)
+        assert np.array_equal(periodic.energies, np.arange(-j, j + 1) ** 2.0)
+
+
+def test_solver_families_equal_eigenfunction_eval_bitwise():
+    custom_periodic = make_boundary(make_preset("periodic").matrix)
+    for bc, n in ((make_preset("robin", -2.5), 20), (make_preset("delta", 1.0), 30),
+                  (custom_periodic, 9)):
+        spectrum = solve_spectrum(bc, count=n)
+        fam = kn.ground_state_modes(spectrum, n)
+        for x in MODE_XS:
+            want = np.array([eigenfunction_eval(m, x) for m in spectrum.modes[:n]],
+                            dtype=complex)
+            assert np.array_equal(fam.eval_matrix(x), want), bc.label
+    kinds = {m.kind for m in solve_spectrum(make_preset("robin", -2.5), count=3).modes}
+    assert kinds == {"hyperbolic", "trig"}
+    assert solve_spectrum(custom_periodic, count=1).modes[0].kind == "linear"
+
+
+def test_hyperbolic_modes_without_decay_pair_rejected():
+    spectrum = solve_spectrum(make_preset("robin", -2.5), count=4)
+    modes = tuple(EigenMode(m.kind, m.energy, m.a, m.b) for m in spectrum.modes)
+    with pytest.raises(ValueError):
+        kn.ground_state_modes(Spectrum(spectrum.bc, modes, spectrum.e_max), 4)
+
+
+def test_sub_family_rows_equal_parent_rows():
+    fam = kn.ground_state_modes(make_preset("robin", -2.5), 20)
+    x = MODE_XS[-1]
+    for idx in ([0, 1, 5, 19], slice(2, 9), fam.energies < 3.0):
+        sub = fam[idx]
+        assert np.array_equal(sub.eval_matrix(x), fam.eval_matrix(x)[idx])
+        assert np.array_equal(sub.energies, fam.energies[idx])
+    assert len(fam[[3, 4]]) == 2
+    assert fam.eval_matrix(0.5).shape == (20,)
 
 
 # ---------------------------------------------------------------------------

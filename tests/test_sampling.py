@@ -49,6 +49,22 @@ def test_group_modes_reproduce_kernels():
         assert_allclose(got, want, atol=1e-12), (g, n)
 
 
+def test_group_modes_equal_closed_formulas():
+    x = np.linspace(0.0, TWO_PI, 513)
+    c = np.sqrt(2.0 / np.pi)
+    for g, n, rows in [
+        ("U", 7, [np.exp(1j * k * x) / np.sqrt(TWO_PI) for k in range(-3, 4)]),
+        ("U", 6, [np.exp(1j * k * x) / np.sqrt(TWO_PI) for k in np.arange(-2.5, 3.0)]),
+        ("Sp", 8, [c * np.sin(k * x) for k in range(1, 5)]),
+        ("SO", 8, [np.full_like(x, 1.0 / np.sqrt(np.pi))]
+         + [c * np.cos(k * x) for k in range(1, 4)]),
+        ("SO", 9, [c * np.sin((k - 0.5) * x) for k in range(1, 5)]),
+    ]:
+        fam, _ = sp.group_modes(g, n)
+        assert_allclose(fam.eval_matrix(x), np.array(rows, dtype=complex),
+                        rtol=0, atol=1e-15), (g, n)
+
+
 def test_group_modes_validation():
     with pytest.raises(ValueError):
         sp.group_modes("Sp", 7)
