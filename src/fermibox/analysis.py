@@ -17,7 +17,7 @@ import numpy as np
 from .boundary import BoundaryMatrix, make_preset
 from .kernels import (
     Kernel,
-    cue_kernel,
+    finite_t_kernel,
     ground_state_kernel,
     kernel_finite_t_sine,
     kernel_sine,
@@ -395,7 +395,7 @@ def edge_scaling_study(bc, x0: float, limit, sizes, grid=None) -> ScalingReport:
 def finite_t_bulk_study(c: float, sizes, grid=None) -> ScalingReport:
     """Rescaled high-temperature kernels against the Fermi-smoothed sine.
 
-    For each size ``N`` takes the twisted-closure thermal kernel at
+    For each size ``N`` takes the periodic-box thermal kernel at
     temperature ``c N^2`` and chemical potential ``c N^2 log(lambda)``,
     with the fugacity solving the density constraint at scaled temperature
     ``c``, and measures ``(pi / N) K(pi x / N, pi y / N)`` against the
@@ -411,7 +411,7 @@ def finite_t_bulk_study(c: float, sizes, grid=None) -> ScalingReport:
     dists = []
     for n in ns:
         t = c * n * n
-        kern = cue_kernel(t, t * log_lam)
+        kern = finite_t_kernel("periodic", t, t * log_lam)
         x = np.pi * u / n
         rescaled = (np.pi / n) * kern(x[:, None], x[None, :])
         dists.append(_sup_gap(rescaled, target))

@@ -129,6 +129,17 @@ def _format(args: argparse.Namespace, default: str) -> str:
 # flag parsing helpers
 
 
+def _finite_float(text: str) -> float:
+    """The argparse type of every float flag: nan and inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _parse_bc(text: str) -> BoundaryMatrix:
     """A preset name, 'name:p1,p2', or a boundary JSON object."""
     text = text.strip()
@@ -511,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="boundary preset, preset:params, or JSON")
     p.add_argument("--count", type=int, default=None,
                    help="number of modes from the bottom")
-    p.add_argument("--emax", type=float, default=None,
+    p.add_argument("--emax", type=_finite_float, default=None,
                    help="energy ceiling instead of a count")
     p.set_defaults(handler=_cmd_spectrum, command="spectrum")
 
@@ -527,8 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mu-solve", parents=[common],
                        help="chemical potential for a mean particle count")
     p.add_argument("--bc", required=True)
-    p.add_argument("--t", type=float, required=True, help="temperature")
-    p.add_argument("--target", type=float, required=True,
+    p.add_argument("--t", type=_finite_float, required=True, help="temperature")
+    p.add_argument("--target", type=_finite_float, required=True,
                    help="mean particle count")
     p.add_argument("--modes", type=int, default=256,
                    help="mode pool size; raise it if the solve is "
@@ -537,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lambda-solve", parents=[common],
                        help="fugacity for a scaled temperature")
-    p.add_argument("--c", type=float, required=True,
+    p.add_argument("--c", type=_finite_float, required=True,
                    help="scaled temperature, positive")
     p.set_defaults(handler=_cmd_lambda_solve, command="lambda-solve")
 
@@ -551,10 +562,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="redundant group check for the Haar kinds")
     p.add_argument("--n", type=int, default=None,
                    help="mode count (dpp) or matrix size (Haar)")
-    p.add_argument("--t", type=float, default=None, help="temperature (gc)")
-    p.add_argument("--mu", type=float, default=None,
+    p.add_argument("--t", type=_finite_float, default=None, help="temperature (gc)")
+    p.add_argument("--mu", type=_finite_float, default=None,
                    help="chemical potential (gc)")
-    p.add_argument("--target", type=float, default=None,
+    p.add_argument("--target", type=_finite_float, default=None,
                    help="solve for mu from this mean count (gc)")
     p.add_argument("--modes", type=int, default=256,
                    help="mode pool for the --target solve (default 256)")
@@ -568,17 +579,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = kmsub.add_parser("density", parents=[common],
                          help="log weight of one loop configuration")
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--t", type=float, required=True, help="loop time")
+    p.add_argument("--t", type=_finite_float, required=True, help="loop time")
     p.add_argument("--points", required=True,
                    help="comma-separated configuration")
     p.set_defaults(handler=_cmd_km_density, command="km density")
     p = kmsub.add_parser("mcmc", parents=[common],
                          help="Metropolis chain over loop configurations")
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--t", type=float, required=True, help="loop time")
+    p.add_argument("--t", type=_finite_float, required=True, help="loop time")
     p.add_argument("--n", type=int, required=True, help="number of loops")
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--step", type=float, default=0.25,
+    p.add_argument("--step", type=_finite_float, default=0.25,
                    help="proposal scale (default 0.25)")
     p.add_argument("--thin", type=int, default=10,
                    help="keep every thin-th state (default 10)")
@@ -597,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated mode counts")
     p.add_argument("--x0", default=None,
                    help="bulk point or edge (accepts pi, 2pi)")
-    p.add_argument("--c", type=float, default=None,
+    p.add_argument("--c", type=_finite_float, default=None,
                    help="scaled temperature (finite-t study)")
     p.add_argument("--grid", default=None,
                    help="override the comparison grid, start:stop:count")

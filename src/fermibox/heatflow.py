@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import qr as pivoted_qr
 
-from .kernels import cue_kernel, finite_t_modes
+from .kernels import finite_t_kernel, finite_t_modes
 from .sampling import make_rng, sample_grand_canonical_many
 from .thermo import fermi_factor
 
@@ -195,8 +195,8 @@ def km_log_density(family: str, t: float, points) -> tuple[float, float]:
     configuration) raises NonPositiveDeterminant.
     """
     points = _check_config(family, points)
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    if not 0 < t < np.inf:
+        raise ValueError(f"time must be positive and finite, got {t}")
     if np.any(np.diff(np.sort(points)) == 0.0):
         raise NonPositiveDeterminant("coincident points give a zero weight")
     logdet = _loop_logdet(family, t, points)
@@ -227,16 +227,16 @@ def km_mcmc(family: str, t: float, n: int, steps: int, rng,
     nonpositive weight are rejected.  Returns (samples, acceptance_rate),
     samples shaped (kept, n); acceptance below 1% triggers a warning.
     """
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    if not 0 < t < np.inf:
+        raise ValueError(f"time must be positive and finite, got {t}")
     if n < 1:
         raise ValueError("need at least one loop")
     if family == "A" and n % 2 == 0:
         raise ValueError("circular loop weights need an odd number of points")
     if steps < 1 or thin < 1 or burn < 0:
         raise ValueError("steps and thin must be positive, burn nonnegative")
-    if step <= 0:
-        raise ValueError("step size must be positive")
+    if not 0 < step < np.inf:
+        raise ValueError("step size must be positive and finite")
     rng = make_rng(rng)
     top = _domain_top(family)
     x = top * np.arange(1, n + 1) / (n + 1.0)
@@ -335,7 +335,7 @@ def gc_mixture_check(family: str, t_temp: float, mu: float, bins: int,
         seps.append(diff[~np.eye(len(d), dtype=bool)])
     seps = np.concatenate(seps) if seps else np.empty(0)
     hist2 = np.histogram(seps, bins=edges)[0].astype(float)
-    kappa = cue_kernel(t_temp, mu)
+    kappa = finite_t_kernel("periodic", t_temp, mu)
     # bin-averaged pair density: the repulsion dip near zero separation is
     # too curved for a midpoint value
     fine = np.linspace(0.0, TWO_PI, 16 * bins + 1)

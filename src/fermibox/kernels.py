@@ -5,8 +5,14 @@ Ground states of N noninteracting fermions give determinantal processes with
 kernel sum_k psi_k(x) conj(psi_k(y)); for the closed-form boundary presets
 these match the eigenangle kernels of the unitary, symplectic and orthogonal
 groups after doubling the angle.  Finite-temperature (grand canonical) states
-replace the sharp filling by Fermi weights.  Everything evaluates pointwise
-with numpy broadcasting; `evaluate_grid` gives the outer-product matrix.
+replace the sharp filling by Fermi weights.  Kernels broadcast their
+arguments like numpy; `evaluate_grid` gives the outer-product matrix.
+
+The costly kernels are evaluated once per distinct coordinate: a mode sum
+evaluates its modes on the distinct x and the distinct y values and forms
+all their pairs in one matrix product, so its memory grows like modes times
+distinct coordinates; a limit kernel given by an integral computes it once
+per distinct x - y, x + y, or (x - y, x + y) pair.
 
 Single-particle modes, closed-form or solved, are rows of one array-backed
 `ModeFamily` (energy, kind code, frequency, two coefficients); `eval_matrix`
@@ -34,7 +40,6 @@ from .thermo import fermi_factor
 __all__ = [
     "Kernel",
     "ModeFamily",
-    "cue_kernel",
     "delta_line_projection",
     "evaluate_grid",
     "finite_t_kernel",
@@ -88,8 +93,9 @@ def sn_ratio(n: int, z) -> np.ndarray:
 class Kernel:
     """A pointwise-evaluable kernel with an optional serializable spec.
 
-    Calling broadcasts x against y elementwise; `evaluate_grid` builds the
-    full matrix over a coordinate product.
+    Calling broadcasts x against y elementwise; mode sums and integrals are
+    evaluated once per distinct coordinate (see the module docstring).
+    `evaluate_grid` builds the full matrix over a coordinate product.
     """
 
     fn: Callable
@@ -289,12 +295,10 @@ def _kernel_from_modes(family: ModeFamily, weights, spec: dict | None) -> Kernel
     w = np.asarray(weights, dtype=float)
 
     def fn(x, y):
-        x, y = np.broadcast_arrays(x, y)
-        shape = x.shape
-        fx = family.eval_matrix(np.ravel(x))
-        fy = family.eval_matrix(np.ravel(y))
-        vals = np.einsum("k,ki,ki->i", w, fx, fy.conj())
-        vals = vals.reshape(shape)
+        ux, ix = np.unique(np.ravel(x), return_inverse=True)
+        uy, iy = np.unique(np.ravel(y), return_inverse=True)
+        ix, iy = np.broadcast_arrays(ix.reshape(np.shape(x)), iy.reshape(np.shape(y)))
+        vals = ((w[:, None] * family.eval_matrix(ux)).T @ family.eval_matrix(uy).conj())[ix, iy]
         if np.max(np.abs(vals.imag), initial=0.0) < 1e-13 * max(1.0, np.max(np.abs(vals.real), initial=0.0)):
             return vals.real
         return vals
@@ -352,6 +356,8 @@ def _closed_finite_t_family(label: str, t: float, mu: float, eps: float) -> Mode
 
 def finite_t_modes(source, t: float, mu: float, eps: float = 1e-12) -> ModeFamily:
     """Every mode whose Fermi weight matters at (t, mu), with a certified cut."""
+    if not (np.isfinite(t) and np.isfinite(mu)):
+        raise ValueError(f"temperature and chemical potential must be finite, got {t}, {mu}")
     if t <= 0:
         raise ValueError(f"temperature must be positive, got {t}")
     if isinstance(source, Spectrum):
@@ -383,33 +389,6 @@ def finite_t_kernel(source, t: float, mu: float, eps: float = 1e-12) -> Kernel:
     return _kernel_from_modes(fam, fermi_factor(fam.energies, t, mu), spec)
 
 
-def cue_kernel(t: float, mu: float, eps: float = 1e-14) -> Kernel:
-    """Finite-temperature kernel of the periodic box, directly as a mode sum.
-
-    (1/2pi) sum_{k in Z} F(k^2) cos(k (x - y)), truncated with a certified
-    geometric tail bound.
-    """
-    if t <= 0:
-        raise ValueError(f"temperature must be positive, got {t}")
-    k = int(np.ceil(np.sqrt(max(mu, 0.0)))) + 1
-    while True:
-        tail = 2.0 * fermi_factor(float((k + 1) ** 2), t, mu) \
-            / max(1e-300, -np.expm1(-(2.0 * k + 1.0) / t))
-        if tail < TWO_PI * eps:
-            break
-        k += 1
-    ks = np.arange(1, k + 1)
-    p = fermi_factor(ks.astype(float) ** 2, t, mu)
-    p0 = float(fermi_factor(0.0, t, mu))
-
-    def fn(x, y):
-        d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        return (p0 + 2.0 * np.einsum("k,k...->...", p, np.cos(np.multiply.outer(ks, d)))) / TWO_PI
-
-    return Kernel(fn=fn, spec={"FiniteT": {"source": "periodic", "T": t, "mu": mu}},
-                  domain=(0.0, TWO_PI))
-
-
 # ---------------------------------------------------------------------------
 # scaling-limit kernels
 
@@ -439,6 +418,18 @@ def kernel_bessel(sign: int) -> Kernel:
 def _require_half_line(x, y) -> None:
     if np.any(np.asarray(x) < 0) or np.any(np.asarray(y) < 0):
         raise ValueError("edge-limit kernels take nonnegative coordinates")
+
+
+def _per_distinct(scalar: Callable[..., float], *args) -> np.ndarray:
+    """scalar(*args) elementwise over the broadcast args, one call per distinct tuple.
+
+    The arguments reach `scalar` as Python floats.
+    """
+    args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    keys, inv = np.unique(np.stack([a.ravel() for a in args], axis=1), axis=0,
+                          return_inverse=True)
+    vals = np.array([scalar(*key) for key in keys.tolist()], dtype=float)
+    return vals[inv.ravel()].reshape(args[0].shape)
 
 
 def _scaled_e1(z: complex) -> complex:
@@ -473,23 +464,16 @@ def _scaled_e1(z: complex) -> complex:
     return 1.0 / f
 
 
-def _robin_tail(c: float, s) -> np.ndarray:
+def _robin_tail(c: float, s: float) -> float:
     """2c int_0^inf e^(-c xi) sinc-form(s + xi) d xi, in closed form.
 
     Equals (2c/pi) Im[e^(cs) E1((c - i pi) s)]; evaluated through the scaled
     exponential integral so large c s stays in range.
     """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.empty_like(s)
-    flat_idx = np.ndindex(s.shape)
-    for idx in flat_idx:
-        si = s[idx]
-        if si < 1e-12:
-            out[idx] = (2.0 * c / np.pi) * np.arctan(np.pi / c)
-        else:
-            z = complex(c * si, -np.pi * si)
-            out[idx] = (2.0 * c / np.pi) * (np.exp(1j * np.pi * si) * _scaled_e1(z)).imag
-    return out
+    if s < 1e-12:
+        return (2.0 * c / np.pi) * np.arctan(np.pi / c)
+    z = complex(c * s, -np.pi * s)
+    return (2.0 * c / np.pi) * (np.exp(1j * np.pi * s) * _scaled_e1(z)).imag
 
 
 def kernel_robin_edge(c: float) -> Kernel:
@@ -504,8 +488,7 @@ def kernel_robin_edge(c: float) -> Kernel:
 
     def fn(x, y):
         _require_half_line(x, y)
-        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        return np.sinc(x - y) + np.sinc(x + y) - _robin_tail(c, x + y).reshape(x.shape)
+        return np.sinc(x - y) + np.sinc(x + y) - _per_distinct(lambda s: _robin_tail(c, s), x + y)
 
     return Kernel(fn=fn, spec={"Limit": {"RobinEdge": {"c": c}}})
 
@@ -536,11 +519,8 @@ def kernel_delta_edge(c: float) -> Kernel:
     if c < 0:
         raise ValueError(f"scatterer strength must be nonnegative, got {c}")
 
-    vec = np.vectorize(lambda s: _scatterer_tail(c, s, 1.0), otypes=[float])
-
     def fn(x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        return np.sinc(x - y) + vec(x + y)
+        return np.sinc(x - y) + _per_distinct(lambda s: _scatterer_tail(c, s, 1.0), x + y)
 
     return Kernel(fn=fn, spec={"Limit": {"DeltaEdge": {"c": c}}})
 
@@ -563,10 +543,8 @@ def kernel_finite_t_sine(c: float, lam: float) -> Kernel:
         )
         return val
 
-    vec = np.vectorize(one, otypes=[float])
-
     def fn(x, y):
-        return vec(np.asarray(x, float) - np.asarray(y, float))
+        return _per_distinct(one, x - y)
 
     return Kernel(fn=fn, spec={"Limit": {"FiniteTSine": {"c": c, "lam": lam}}})
 
@@ -593,12 +571,9 @@ def half_line_robin_projection(c: float, e: float) -> Kernel:
         val, _ = quad(integrand, 0.0, u_max, epsabs=1e-10, epsrel=1e-10, limit=200)
         return val
 
-    vec = np.vectorize(one, otypes=[float])
-
     def fn(x, y):
         _require_half_line(x, y)
-        return vec(np.asarray(x, float) - np.asarray(y, float),
-                   np.asarray(x, float) + np.asarray(y, float))
+        return _per_distinct(one, x - y, x + y)
 
     return Kernel(fn=fn, spec={"Limit": {"HalfLineRobin": {"c": c, "e": e}}})
 
@@ -621,12 +596,8 @@ def delta_line_projection(c: float, e: float) -> Kernel:
                        epsabs=1e-10, epsrel=1e-10, limit=200)
         return free + _scatterer_tail(c, s, u_max)
 
-    vec = np.vectorize(one, otypes=[float])
-
     def fn(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return vec(x - y, np.abs(x) + np.abs(y))
+        return _per_distinct(one, x - y, np.abs(x) + np.abs(y))
 
     return Kernel(fn=fn, spec={"Limit": {"DeltaLine": {"c": c, "e": e}}})
 

@@ -18,7 +18,7 @@ from fermibox.baselines import compare_to_baseline, edge_key, study_key
 from fermibox.boundary import make_boundary, make_preset
 from fermibox.heatflow import (FAMILIES, gc_mixture_check, heat_propagator,
                                km_log_density)
-from fermibox.kernels import (cue_kernel, ground_state_kernel, group_kernel,
+from fermibox.kernels import (finite_t_kernel, ground_state_kernel, group_kernel,
                               kernel_finite_t_sine)
 from fermibox.sampling import (RngSpec, group_modes, haar_eigenangles,
                                haar_unitary, make_rng, sample_projection_many,
@@ -146,7 +146,7 @@ def test_criterion_06_thermal_circle_kernel():
     # the round-number potential n^2 sits exactly on the +-n mode pair, so
     # the certified count solve supplies the potential that fills 2n+1 modes
     mu = solve_mu(ks.astype(float) ** 2, t_temp, 2 * n + 1)
-    thermal = cue_kernel(t_temp, mu)
+    thermal = finite_t_kernel("periodic", t_temp, mu)
     xs = np.linspace(0.0, TWO_PI, 32)
     gap = np.abs(np.asarray(thermal(xs[:, None], xs[None, :]))
                  - np.asarray(group_kernel("U", 2 * n + 1)(xs[:, None],

@@ -15,7 +15,7 @@ from scipy import stats
 from fermibox import analysis as an
 from fermibox import baselines as bl
 from fermibox.boundary import make_boundary, make_preset
-from fermibox.kernels import (cue_kernel, ground_state_kernel,
+from fermibox.kernels import (finite_t_kernel, ground_state_kernel,
                               ground_state_modes, group_kernel,
                               kernel_delta_edge, kernel_sine, sn_ratio)
 from fermibox.sampling import RngSpec, make_rng, sample_projection_many
@@ -333,7 +333,7 @@ def test_thermal_kernel_infinite_temperature_decoheres():
     t, target = 1e6, 21.0
     ks = np.arange(-5000, 5001)
     mu = solve_mu(ks.astype(float) ** 2, t, target)
-    kern = cue_kernel(t, mu)
+    kern = finite_t_kernel("periodic", t, mu)
     assert_allclose(kern(np.pi, np.pi), target / TWO_PI, rtol=1e-3)
     assert abs(kern(np.pi, np.pi + 0.5)) < 1e-6 * target / TWO_PI
 

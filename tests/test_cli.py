@@ -93,6 +93,27 @@ def test_exit_codes_usage_numerical_baseline():
           "--steps", "10"], 1),
         (["km", "mcmc", "--family", "A", "--t", "-1", "--n", "3",
           "--steps", "10"], 1),
+        # non-finite flag values are usage errors, never hangs or tracebacks
+        (["sample", "--kind", "gc", "--bc", "periodic", "--t", "nan",
+          "--mu", "1"], 1),
+        (["sample", "--kind", "gc", "--bc", "periodic", "--t", "inf",
+          "--mu", "1"], 1),
+        (["sample", "--kind", "gc", "--bc", "periodic", "--t", "1",
+          "--mu", "nan"], 1),
+        (["kernel", "eval", "--spec",
+          '{"FiniteT":{"source":"periodic","T":NaN,"mu":1}}',
+          "--grid", "0:1:2,0:1:2"], 1),
+        (["spectrum", "--bc", "dirichlet", "--emax", "nan"], 1),
+        (["spectrum", "--bc", "dirichlet", "--emax", "inf"], 1),
+        (["km", "mcmc", "--family", "A", "--t", "1", "--n", "3",
+          "--steps", "10", "--step", "nan"], 1),
+        (["km", "mcmc", "--family", "A", "--t", "nan", "--n", "3",
+          "--steps", "10"], 1),
+        (["km", "mcmc", "--family", "A", "--t", "inf", "--n", "3",
+          "--steps", "10"], 1),
+        (["mu-solve", "--bc", "dirichlet", "--t", "nan", "--target", "3"], 1),
+        (["lambda-solve", "--c", "nan"], 1),
+        (["verify", "--study", "finite-t", "--c", "nan"], 1),
         (["verify", "--study", "bulk", "--bc", "neumann",
           "--sizes", "25,50"], 3),
     ]

@@ -204,6 +204,9 @@ def test_loop_weight_validation():
         hf.km_log_density("C", 1.0, [0.0, 1.0])         # on the absorbing wall
     with pytest.raises(ValueError):
         hf.km_log_density("A", 0.0, [0.5])
+    for t in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            hf.km_log_density("C", t, [0.5, 1.5])
     with pytest.raises(hf.NonPositiveDeterminant):
         hf.km_log_density("C", 1.0, [0.7, 0.7, 1.2])    # coincident pair
 
@@ -252,6 +255,9 @@ def test_mcmc_validation_and_warning():
         hf.km_mcmc("A", 1.0, 2, 100, RngSpec(0))
     with pytest.raises(ValueError):
         hf.km_mcmc("C", 1.0, 2, 100, RngSpec(0), step=-0.1)
+    for t, step in ((np.nan, 0.25), (np.inf, 0.25), (1.0, np.nan)):
+        with pytest.raises(ValueError):
+            hf.km_mcmc("A", t, 3, 10, RngSpec(0), step=step)
     # a crowded frozen chain with huge steps almost never finds its slot
     with pytest.warns(UserWarning):
         hf.km_mcmc("C", 0.1, 150, 1200, RngSpec(0), step=30.0, thin=400)

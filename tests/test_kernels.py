@@ -7,6 +7,7 @@ solver for the closed mode families.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,7 +272,7 @@ def test_cue_kernel_matches_direct_sum():
     xs = RNG.uniform(0, TWO_PI, size=7)
     ys = RNG.uniform(0, TWO_PI, size=7)
     direct = np.sum(p[:, None] * np.exp(1j * np.outer(ks, xs - ys)), axis=0).real / TWO_PI
-    k = kn.cue_kernel(t, mu)
+    k = kn.finite_t_kernel("periodic", t, mu)
     assert_allclose(k(xs, ys), direct, atol=1e-13)
 
 
@@ -281,7 +282,7 @@ def test_cue_kernel_cold_limit_is_group_kernel():
         [float(k * k) for k in range(0, 40) for _ in range(1 if k == 0 else 2)]))
     mu = solve_mu(energies, 1e-3, 2 * n + 1)
     xs = np.linspace(0, TWO_PI, 37, endpoint=False)
-    cold = kn.evaluate_grid(kn.cue_kernel(1e-3, mu), xs, xs)
+    cold = kn.evaluate_grid(kn.finite_t_kernel("periodic", 1e-3, mu), xs, xs)
     grp = kn.evaluate_grid(kn.group_kernel("U", 2 * n + 1), xs, xs)
     assert np.max(np.abs(cold - grp)) < 1e-8
 
@@ -291,28 +292,43 @@ def test_cue_kernel_midpoint_chemical_potential_misses():
     # shell half occupied and shifts the kernel by 1/2pi at coincidence
     n = 10
     xs = np.linspace(0, TWO_PI, 23, endpoint=False)
-    cold = kn.evaluate_grid(kn.cue_kernel(1e-3, float(n * n)), xs, xs)
+    cold = kn.evaluate_grid(kn.finite_t_kernel("periodic", 1e-3, float(n * n)), xs, xs)
     grp = kn.evaluate_grid(kn.group_kernel("U", 2 * n + 1), xs, xs)
     assert_allclose(np.max(np.abs(cold - grp)), 1.0 / TWO_PI, rtol=1e-10)
 
 
 def test_finite_t_closed_families_match_mode_sums():
+    # every kind of mode row, on a grid call and on a paired call, against a
+    # per-pair sum over the same modes
     t, mu = 1.3, 4.0
     xs = np.linspace(0.1, TWO_PI - 0.1, 9)
-    for preset in ("dirichlet", "neumann", "zaremba"):
-        k = kn.finite_t_kernel(preset, t, mu)
-        fam = kn.ground_state_modes(preset, 80)
-        w = fermi_factor(fam.energies, t, mu)
+    custom_periodic = make_boundary(make_preset("periodic").matrix)   # linear zero mode
+    cases = [(kn.finite_t_kernel(p, t, mu), kn.ground_state_modes(p, 80), True)
+             for p in ("dirichlet", "neumann", "zaremba", "periodic")]
+    cases += [(kn.ground_state_kernel(bc, n), kn.ground_state_modes(bc, n), False)
+              for bc, n in (("periodic", 6), ("periodic", 7),
+                            (make_preset("robin", -2.5), 20),
+                            (make_preset("delta", 1.0), 20), (custom_periodic, 9))]
+    for k, fam, thermal in cases:
+        w = fermi_factor(fam.energies, t, mu) if thermal else np.ones(len(fam))
         phi = fam.eval_matrix(xs)
         direct = np.einsum("k,ki,kj->ij", w, phi, phi.conj()).real
-        assert_allclose(kn.evaluate_grid(k, xs, xs), direct, atol=1e-11), preset
+        assert_allclose(kn.evaluate_grid(k, xs, xs), direct, atol=1e-11, err_msg=str(k.spec))
+        assert_allclose(k(xs, xs), np.diagonal(direct), atol=1e-11, err_msg=str(k.spec))
 
 
-def test_finite_t_periodic_equals_cue():
-    xs = np.linspace(0, TWO_PI, 15, endpoint=False)
-    a = kn.evaluate_grid(kn.finite_t_kernel("periodic", 2.0, 9.0), xs, xs)
-    b = kn.evaluate_grid(kn.cue_kernel(2.0, 9.0), xs, xs)
-    assert_allclose(a, b, atol=1e-12)
+def test_mode_sum_grid_memory_grows_with_axes_not_pairs():
+    # 200 modes on a 200 x 200 grid: modes x 200 values per axis, where
+    # evaluating every mode at every grid pair allocates over 250 MB
+    k = kn.ground_state_kernel("dirichlet", 200)
+    xs = np.linspace(0.0, TWO_PI, 200)
+    tracemalloc.start()
+    try:
+        kn.evaluate_grid(k, xs, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
 
 
 def test_finite_t_generic_route_matches_closed():
@@ -335,7 +351,10 @@ def test_finite_t_validation():
     with pytest.raises(ValueError):
         kn.finite_t_kernel("dirichlet", 0.0, 1.0)
     with pytest.raises(ValueError):
-        kn.cue_kernel(-1.0, 1.0)
+        kn.finite_t_kernel("periodic", -1.0, 1.0)
+    for t, mu in ((np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, -np.inf)):
+        with pytest.raises(ValueError):
+            kn.finite_t_modes("periodic", t, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +549,23 @@ def test_delta_line_projection_symmetries():
         assert_allclose(k(x, y), k(y, x), atol=1e-12)    # symmetric kernel
     k0 = kn.delta_line_projection(0.0, np.pi**2)
     assert_allclose(k0(0.4, -0.8), np.sinc(1.2), atol=1e-10)
+
+
+@pytest.mark.parametrize("spec", [
+    {"FiniteTSine": {"c": 0.7, "lam": 2.0}},
+    {"DeltaEdge": {"c": 1.5}},
+    {"RobinEdge": {"c": 1.0}},
+    {"HalfLineRobin": {"c": 1.0, "e": 30.0}},
+    {"DeltaLine": {"c": 0.5, "e": 20.0}},
+])
+def test_quadrature_kernel_grid_equals_scalar_calls(spec):
+    # a grid integrates once per distinct argument; every repeated x - y and
+    # x + y must still get exactly the value a scalar call gives
+    k = kn.parse_kernel_spec({"Limit": spec})
+    xs = np.array([0.0, 0.25, 0.5, 0.5, 1.0])
+    ys = np.array([0.25, 0.5, 0.75])
+    scalar = np.array([[k(x, y) for y in ys] for x in xs])
+    assert np.array_equal(kn.evaluate_grid(k, xs, ys), scalar)
 
 
 def test_edge_limit_validation():
