@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+MAX_THERMAL_LEVELS = 20_000    # ceiling on the energy levels of a finite-T closed family
 
 
 # ---------------------------------------------------------------------------
@@ -321,37 +322,42 @@ def ground_state_kernel(source, n: int) -> Kernel:
 
 
 def _closed_finite_t_family(label: str, t: float, mu: float, eps: float) -> ModeFamily | None:
-    """Closed family truncated with a certified geometric tail bound."""
-    if label == "dirichlet":
-        e_of = lambda j: (j / 2.0) ** 2          # j = 1, 2, ...
-        first = 1
-    elif label == "neumann":
-        e_of = lambda j: (j / 2.0) ** 2          # j = 0, 1, ...
-        first = 0
-    elif label == "zaremba":
-        e_of = lambda j: ((2 * j + 1) / 4.0) ** 2
-        first = 0
-    elif label == "periodic":
-        e_of = lambda j: float(j * j)            # then doubled for +-j
-        first = 0
-    else:
+    """Closed family truncated with a certified geometric tail bound.
+
+    Raises ValueError when the cut would keep more than MAX_THERMAL_LEVELS
+    energy levels.
+    """
+    # level j has energy (s (j + off))^2, j = first, first + 1, ...;
+    # periodic levels are then doubled for +-j
+    levels = {"dirichlet": (0.5, 0.0, 1), "neumann": (0.5, 0.0, 0),
+              "zaremba": (0.5, 0.5, 0), "periodic": (1.0, 0.0, 0)}
+    if label not in levels:
         return None
-    j = first
+    s, off, first = levels[label]
+    e_of = lambda j: (s * (j + off)) ** 2
+    # first level above mu, from the closed form, then rounding corrected
+    j = max(first, int(np.sqrt(max(mu, 0.0)) / s - off))
+    if j - first >= MAX_THERMAL_LEVELS:
+        raise ValueError(f"mu = {mu:.3g} lies above {MAX_THERMAL_LEVELS} levels of {label}")
     while e_of(j) <= mu:
         j += 1
-    # extend until the remaining occupancy sum is certifiably below eps:
-    # sum_{i > j} F(E_i) <= F(E_{j+1}) / (1 - exp(-gap/t))
-    while True:
-        gap = e_of(j + 1) - e_of(j)
-        tail = 2.0 * fermi_factor(e_of(j + 1), t, mu) / max(1e-300, -np.expm1(-gap / t))
-        if tail < eps:
-            break
-        j += 1
-    count = j - first + 1
+    while j > first and e_of(j - 1) > mu:
+        j -= 1
+    # cut at the first j whose remaining occupancy sum is certifiably below
+    # eps: sum_{i > j} F(E_i) <= F(E_{j+1}) / (1 - exp(-gap/t)), decreasing in j
+    js = np.arange(j, first + MAX_THERMAL_LEVELS, dtype=float)
+    gap = e_of(js + 1) - e_of(js)
+    with np.errstate(over="ignore"):
+        tail = 2.0 * fermi_factor(e_of(js + 1), t, mu) / np.maximum(1e-300, -np.expm1(-gap / t))
+    cut = np.flatnonzero(tail < eps)
+    if len(cut) == 0:
+        raise ValueError(f"T = {t:.3g}, mu = {mu:.3g} need more than "
+                         f"{MAX_THERMAL_LEVELS} levels of {label}")
+    j = int(js[cut[0]])
     if label == "periodic":
         ks = np.arange(-j, j + 1, dtype=float)
         return ModeFamily(ks**2, WAVE, ks, np.sqrt(TWO_PI))
-    return _closed_family(label, count)
+    return _closed_family(label, j - first + 1)
 
 
 def finite_t_modes(source, t: float, mu: float, eps: float = 1e-12) -> ModeFamily:

@@ -1,11 +1,11 @@
 """Samplers: projection determinantal processes, their grand-canonical
 mixtures, and Haar eigenangles of the compact matrix groups.
 
-Projection processes are drawn by the sequential conditioning scheme: pick a
-point from the current marginal density, project its feature vector out of
-the span, repeat.  The marginal is approximated, not sampled exactly: a cell
-of a CELLS-cell midpoint grid is drawn, refined up to MAX_REFINE times into
-SUBCELLS midpoint subcells, and the point drawn uniformly in the last one.
+Projection processes are drawn exactly by the chain rule of Hough,
+Krishnapur, Peres and Virag (2006): pick a point from the current marginal
+density, project its feature vector out of the span, repeat.  Each marginal
+is drawn by rejection from batches of uniform proposals under the envelope
+sum_k sup |psi_k|^2 >= K(x, x), as in DPPy (Gautier et al. 2019).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import COS, SIN, WAVE, ModeFamily
+from .kernels import COS, SIN, TRIG, WAVE, ModeFamily
 from .thermo import fermi_factor
 
 __all__ = [
@@ -33,10 +33,8 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
-CELLS = 4096
-SUBCELLS = 64
-MAX_REFINE = 3
-MASS_TARGET = 1e-10
+BATCH_CAP = 2048    # proposals evaluated at once: memory O(modes x BATCH_CAP)
+STEP_BUDGET = 64    # proposals one step may examine, in expected counts
 
 
 class SamplerError(RuntimeError):
@@ -101,69 +99,71 @@ def group_modes(group: str, n: int) -> tuple[ModeFamily, float]:
 # projection sampler
 
 
-def _refine_cell(family, basis, lo: float, hi: float, rng) -> float:
-    """Zoom into [lo, hi] by repeated subdivision, then draw uniformly."""
-    for _ in range(MAX_REFINE):
-        edges = np.linspace(lo, hi, SUBCELLS + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        phi = family.eval_matrix(mids)
-        dens = np.sum(np.abs(phi) ** 2, axis=0)
-        if basis is not None and len(basis):
-            dens = dens - np.sum(np.abs(np.asarray(basis).conj() @ phi) ** 2, axis=0)
-        dens = np.clip(dens, 0.0, None)
-        total = float(np.sum(dens))
-        if total <= 0.0:
-            break
-        idx = int(np.searchsorted(np.cumsum(dens) / total, rng.random(), side="right"))
-        idx = min(idx, SUBCELLS - 1)
-        lo, hi = edges[idx], edges[idx + 1]
-        if dens[idx] / total <= MASS_TARGET:
-            break
-    return float(rng.uniform(lo, hi))
+def _mode_sups(family: ModeFamily, domain: tuple[float, float]) -> np.ndarray:
+    """sup |psi_k|^2 over `domain`, per mode; their sum bounds K(x, x).
+
+    Sine, cosine and plane-wave rows peak at 1/a^2, a trig row at most at
+    |a|^2 + |b|^2 (Cauchy-Schwarz).  Linear and decaying rows have a convex
+    |psi|^2, since (|psi|^2)'' = 2|psi'|^2 + 2 w^2 |psi|^2, so they peak at
+    an end of the domain.  The sups are padded by a relative 1e-12: a
+    plane-wave family's K(x, x) rounds a few ulp above their sum.
+    """
+    ends = np.max(np.abs(family.eval_matrix(np.array(domain, dtype=float))) ** 2, axis=1)
+    with np.errstate(divide="ignore"):
+        plain = family.a.real ** -2.0
+    trig = np.abs(family.a) ** 2 + np.abs(family.b) ** 2
+    return np.select([np.isin(family.kind, (SIN, COS, WAVE)), family.kind == TRIG],
+                     [plain, trig], ends) * (1.0 + 1e-12)
 
 
-def _sample_points(family: ModeFamily, phi: np.ndarray, edges: np.ndarray,
-                   rng) -> np.ndarray:
-    """One draw of the projection process onto `family`, whose modes take
-    the values `phi` at the cell midpoints."""
-    n_pick = len(family)
-    picked = np.empty(n_pick)
-    base = np.sum(np.abs(phi) ** 2, axis=0)
-    proj = np.zeros_like(base)
-    widths = np.diff(edges)
+def _sample_points(family: ModeFamily, sups: np.ndarray,
+                   domain: tuple[float, float], rng) -> np.ndarray:
+    """One exact draw of the projection process onto `family`.
 
-    basis: list[np.ndarray] = []
-    for step in range(n_pick):
-        weights = np.clip(base - proj, 0.0, None) * widths
-        total = float(np.sum(weights))
-        if total <= 0.0:
-            raise SamplerError(
-                f"residual mass vanished at step {step} of {n_pick}"
-            )
-        idx = int(np.searchsorted(np.cumsum(weights) / total, rng.random(),
-                                  side="right"))
-        idx = min(idx, len(weights) - 1)
-        x = _refine_cell(family, np.array(basis) if basis else None,
-                         edges[idx], edges[idx + 1], rng)
-        picked[step] = x
-
-        phi_x = family.eval_matrix(np.array([x]))[:, 0]
-        v = phi_x
-        for b in basis:
-            v = v - b * np.vdot(b, v)
-        nrm = np.linalg.norm(v)
-        if nrm**2 <= 1e-12 * np.sum(np.abs(phi_x) ** 2):
+    Step i accepts a uniform proposal x, u ~ U[0, bound) when
+    u < r_i(x) = |phi(x)|^2 - |B_i^H phi(x)|^2, with B_i an orthonormal basis
+    of the picked points' feature vectors, so x has density r_i / (n - i).
+    Proposals come in batches; those a step leaves unexamined are independent
+    of it and carry over, each needing one new basis coefficient.  A step
+    that exhausts its proposal budget, or a point that adds nothing to the
+    span, ends in SamplerError.
+    """
+    n = len(family)
+    lo, hi = domain
+    bound = float(np.sum(sups))
+    scale = (hi - lo) * bound           # expected proposals at step i: scale / (n - i)
+    basis = np.empty((n, n), dtype=complex)
+    picked = np.empty(n)
+    xs = u = res = np.empty(0)
+    at = 0
+    for step in range(n):
+        seen = 0
+        while not np.any(hit := u[at:] < res[at:]):
+            seen += len(u) - at
+            if seen > STEP_BUDGET * scale / (n - step):
+                raise SamplerError(f"residual mass vanished at step {step} of {n}")
+            # the mean need of every remaining step, plus 32 so small draws rarely refill
+            size = min(BATCH_CAP, int(scale * np.sum(1.0 / np.arange(1, n - step + 1))) + 32)
+            xs = rng.uniform(lo, hi, size)
+            u = rng.uniform(0.0, bound, size)
+            phi = np.ascontiguousarray(family.eval_matrix(xs).T)
+            res = np.sum(phi.real**2 + phi.imag**2, axis=1)
+            if np.max(res) > bound:
+                raise SamplerError("K(x, x) exceeds the mode envelope")
+            res -= np.sum(np.abs(phi @ basis[:step].T.conj()) ** 2, axis=1)
+            at = 0
+        j = at + int(np.argmax(hit))
+        v = phi[j]
+        for _ in range(2):              # Gram-Schmidt, repeated for stability
+            v = v - (basis[:step].conj() @ v) @ basis[:step]
+        nrm2 = np.vdot(v, v).real
+        if nrm2 <= 1e-12 * np.vdot(phi[j], phi[j]).real:
             raise SamplerError("picked a point already inside the span")
-        b = v / nrm
-        basis.append(b)
-        proj = proj + np.abs(b.conj() @ phi) ** 2
+        basis[step] = v / np.sqrt(nrm2)
+        picked[step] = xs[j]
+        at = j + 1
+        res[at:] -= np.abs(phi[at:] @ basis[step].conj()) ** 2
     return np.sort(picked)
-
-
-def _cell_cache(family, domain: tuple[float, float]):
-    edges = np.linspace(domain[0], domain[1], CELLS + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    return family.eval_matrix(mids), edges
 
 
 def sample_projection(family: ModeFamily, rng,
@@ -176,10 +176,10 @@ def sample_projection_many(family: ModeFamily, count: int, rng,
                            domain: tuple[float, float] = (0.0, TWO_PI)) -> np.ndarray:
     """`count` independent configurations, shape (count, len(family))."""
     rng = make_rng(rng)
-    phi_cells, edges = _cell_cache(family, domain)
+    sups = _mode_sups(family, domain)
     out = np.empty((count, len(family)))
     for i in range(count):
-        out[i] = _sample_points(family, phi_cells, edges, rng)
+        out[i] = _sample_points(family, sups, domain, rng)
     return out
 
 
@@ -200,15 +200,11 @@ def sample_grand_canonical_many(family: ModeFamily, t: float, mu: float,
     """`count` independent grand-canonical draws (variable point counts)."""
     rng = make_rng(rng)
     p = fermi_factor(family.energies, t, mu)
-    phi_cells, edges = _cell_cache(family, domain)
+    sups = _mode_sups(family, domain)
     out = []
     for _ in range(count):
         occupied = np.flatnonzero(rng.random(len(p)) < p)
-        if len(occupied) == 0:
-            out.append(np.empty(0))
-            continue
-        out.append(_sample_points(family[occupied], phi_cells[occupied],
-                                  edges, rng))
+        out.append(_sample_points(family[occupied], sups[occupied], domain, rng))
     return out
 
 
@@ -226,14 +222,17 @@ def haar_unitary(n: int, rng) -> np.ndarray:
 
 
 def haar_special_orthogonal(n: int, rng) -> np.ndarray:
-    """Haar-distributed SO(n): real Gaussian QR, then condition on det +1."""
+    """Haar-distributed SO(n): real Gaussian QR with sign correction.
+
+    A draw with det -1 has its first column negated: right-multiplying by a
+    fixed reflection carries Haar measure on the det -1 half of O(n) onto
+    SO(n), so no draw is thrown away.
+    """
     rng = make_rng(rng)
-    while True:
-        z = rng.standard_normal((n, n))
-        q, r = np.linalg.qr(z)
-        q = q * np.sign(np.diagonal(r))
-        if np.linalg.det(q) > 0:
-            return q
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q * np.sign(np.diagonal(r))
+    q[:, 0] *= np.sign(np.linalg.det(q))
+    return q
 
 
 def _unitary_angles(m: np.ndarray) -> np.ndarray:

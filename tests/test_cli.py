@@ -26,13 +26,25 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _is_float(field):
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def csv_body(text):
-    """(comment lines, column row or None, data rows as string lists)."""
+    """(comment lines, column row or None, data rows as string lists).
+
+    The column row is the first one whose first field is not a number, so a
+    data row starting with, say, 8.5e-06 stays a data row.
+    """
     comments, columns, rows = [], None, []
     for line in text.splitlines():
         if line.startswith("#"):
             comments.append(line)
-        elif columns is None and any(c.isalpha() for c in line.split(",")[0]):
+        elif columns is None and not _is_float(line.split(",")[0]):
             columns = line.split(",")
         else:
             rows.append(line.split(","))
@@ -116,6 +128,11 @@ def test_exit_codes_usage_numerical_baseline():
         (["verify", "--study", "finite-t", "--c", "nan"], 1),
         (["verify", "--study", "bulk", "--bc", "neumann",
           "--sizes", "25,50"], 3),
+        # finite but huge: the certified thermal cut would pass its ceiling
+        (["sample", "--kind", "gc", "--bc", "periodic", "--t", "1e300",
+          "--mu", "1"], 1),
+        (["sample", "--kind", "gc", "--bc", "periodic", "--t", "1",
+          "--mu", "1e300"], 1),
     ]
     for argv, want in cases:
         code, _, err = run_cli(argv)

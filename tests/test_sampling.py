@@ -4,12 +4,15 @@ The statistical checks run at fixed seeds with generous z-score bounds, so
 they are deterministic regressions rather than flaky hypothesis tests.
 """
 
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from fermibox import kernels as kn
 from fermibox import sampling as sp
+from fermibox.boundary import make_boundary, make_preset
 from fermibox.thermo import count_distribution, fermi_factor
 
 TWO_PI = 2.0 * np.pi
@@ -27,7 +30,7 @@ def test_rng_spec_is_bit_reproducible():
 def test_frozen_draw_regression():
     fam = kn.ground_state_modes("dirichlet", 5)
     got = sp.sample_projection(fam, sp.RngSpec(7, 0))
-    frozen = [0.7672447003, 1.3211710847, 2.7166749719, 3.8700841837, 5.3643505889]
+    frozen = [1.4150185072, 2.3218651172, 2.9401220204, 3.9275906514, 5.6373605717]
     assert_allclose(got, frozen, atol=1e-9)
 
 
@@ -101,6 +104,96 @@ def test_projection_repulsion_short_range():
     gaps = np.diff(pts, axis=1).ravel()
     mean_gap = np.mean(gaps)
     assert np.mean(gaps < 0.1 * mean_gap) < 0.02
+
+
+def _envelope_families():
+    """(name, family, domain) covering every row kind of ModeFamily."""
+    box = (0.0, TWO_PI)
+    out = [(bc, kn.ground_state_modes(bc, n), box)
+           for bc, n in (("dirichlet", 9), ("neumann", 9), ("periodic", 8))]
+    out += [(f"{name}:{c}", kn.ground_state_modes(make_preset(name, c), n), box)
+            for name, c, n in (("robin", 2.5, 12), ("robin", -2.5, 20),
+                               ("delta", -3.0, 10))]
+    rng = sp.make_rng(sp.RngSpec(4242))
+    out += [(f"custom{i}", kn.ground_state_modes(make_boundary(sp.haar_unitary(2, rng)), 10), box)
+            for i in range(3)]
+    # the periodic matrix through the solver has a linear zero mode
+    out.append(("custom periodic",
+                kn.ground_state_modes(make_boundary(make_preset("periodic").matrix), 9), box))
+    for g, n in (("U", 7), ("U", 6), ("Sp", 8), ("SO", 8), ("SO", 9)):
+        fam, top = sp.group_modes(g, n)
+        out.append((f"{g}({n})", fam, (0.0, top)))
+    return out
+
+
+def test_mode_envelope_bounds_the_kernel_diagonal():
+    kinds = set()
+    for name, fam, domain in _envelope_families():
+        kinds |= set(fam.kind.tolist())
+        bound = np.sum(sp._mode_sups(fam, domain))
+        diag = max(np.max(np.sum(np.abs(fam.eval_matrix(x)) ** 2, axis=0))
+                   for x in np.split(np.linspace(*domain, 200_000), 4))
+        assert bound >= diag, (name, bound, diag)
+    assert kinds == set(range(6))
+    # the bound state's envelope comes from the walls, not from (|a| + |b|)^2
+    fam = kn.ground_state_modes(make_preset("robin", -2.5), 20)
+    assert 11.9 < np.sum(sp._mode_sups(fam, (0.0, TWO_PI))) < 12.1
+
+
+def test_bound_state_one_point_density():
+    # robin:-2.5 binds a state at each wall; the draws must follow K(x, x)
+    fam = kn.ground_state_modes(make_preset("robin", -2.5), 20)
+    m = 300
+    pts = sp.sample_projection_many(fam, m, sp.RngSpec(2520))
+    edges = np.linspace(0.0, TWO_PI, 49)
+    hist, _ = np.histogram(pts.ravel(), bins=edges)
+    fine = np.linspace(0.0, TWO_PI, 48 * 64 + 1)
+    diag = np.sum(np.abs(fam.eval_matrix(0.5 * (fine[:-1] + fine[1:]))) ** 2, axis=0)
+    expect = m * diag.reshape(48, 64).mean(axis=1) * np.diff(edges)
+    assert abs(np.sum(expect) - 20 * m) < 1e-3 * 20 * m
+    z = (hist - expect) / np.sqrt(expect)
+    assert np.max(np.abs(z)) < 4.5
+
+
+def test_projection_pair_density_matches_exact():
+    # ordered-pair counts per cell against the exact rho_2 = det of the 2x2
+    # kernel matrix; the errors come from the spread over configurations,
+    # since the pairs of one configuration are not independent
+    cells, fine = 8, 32
+    for fam, top, seed in ((*sp.group_modes("U", 7), 71),
+                           (kn.ground_state_modes("dirichlet", 6), TWO_PI, 72)):
+        m, n = 3000, len(fam)
+        pts = sp.sample_projection_many(fam, m, sp.RngSpec(seed), domain=(0.0, top))
+        idx = np.minimum((pts / top * cells).astype(int), cells - 1)
+        counts = np.zeros((m, cells * cells))
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    np.add.at(counts, (np.arange(m), idx[:, i] * cells + idx[:, j]), 1)
+        g = (np.arange(cells * fine) + 0.5) * top / (cells * fine)
+        phi = fam.eval_matrix(g)
+        k = phi.T @ phi.conj()
+        rho2 = np.outer(k.diagonal(), k.diagonal()).real - np.abs(k) ** 2
+        exact = rho2.reshape(cells, fine, cells, fine).sum(axis=(1, 3)).ravel()
+        exact *= (top / (cells * fine)) ** 2
+        z = (counts.mean(axis=0) - exact) / (counts.std(axis=0, ddof=1) / np.sqrt(m))
+        assert np.max(np.abs(z)) < 4.5, (n, np.max(np.abs(z)))
+
+
+def test_rank_deficient_family_raises_promptly():
+    fam = kn.ground_state_modes("dirichlet", 3)[[0, 0, 1]]
+    t0 = time.perf_counter()
+    with pytest.raises(sp.SamplerError):
+        sp.sample_projection(fam, sp.RngSpec(3))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_broken_envelope_raises(monkeypatch):
+    fam = kn.ground_state_modes("dirichlet", 6)
+    sups = sp._mode_sups
+    monkeypatch.setattr(sp, "_mode_sups", lambda f, d: 0.5 * sups(f, d))
+    with pytest.raises(sp.SamplerError, match="envelope"):
+        sp.sample_projection(fam, sp.RngSpec(4))
 
 
 def test_grand_canonical_counts_match_exact_distribution():
