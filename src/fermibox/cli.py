@@ -110,6 +110,7 @@ def _emit_json(payload: dict, args: argparse.Namespace) -> None:
 
 
 def _emit_csv(columns, rows, args: argparse.Namespace, notes=()) -> None:
+    """Write rows, a sequence of tuples or a 2-D float array, as CSV."""
     cfg = RunConfig.from_args(args)
     lines = [f"# fermibox {cfg.command}",
              f"# config: {json.dumps(cfg.as_dict(), sort_keys=True)}",
@@ -117,7 +118,11 @@ def _emit_csv(columns, rows, args: argparse.Namespace, notes=()) -> None:
     lines.extend(f"# {note}" for note in notes)
     if columns:
         lines.append(",".join(columns))
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    if isinstance(rows, np.ndarray) and rows.dtype == float:
+        # repr is what _fmt writes for a float, without its per-value dispatch
+        lines.extend(",".join(map(repr, row)) for row in rows.tolist())
+    else:
+        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     _write_text("\n".join(lines) + "\n", args.out)
 
 
@@ -253,15 +258,15 @@ def _cmd_kernel_eval(args: argparse.Namespace) -> int:
     kern = parse_kernel_spec(_parse_spec(args.spec))
     xs, ys = _parse_grid2(args.grid)
     vals = np.asarray(kern(xs[:, None], ys[None, :]), dtype=complex)
-    rows = [(x, y, vals[i, j].real, vals[i, j].imag)
-            for i, x in enumerate(xs) for j, y in enumerate(ys)]
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    rows = np.column_stack([gx.ravel(), gy.ravel(), vals.real.ravel(),
+                            vals.imag.ravel()])
     if _format(args, "csv") == "csv":
         _emit_csv(("x", "y", "re", "im"), rows, args,
                   notes=(f"spec: {json.dumps(kernel_spec(kern), sort_keys=True)}",))
     else:
         _emit_json({"spec": kernel_spec(kern),
-                    "columns": ["x", "y", "re", "im"],
-                    "rows": [list(r) for r in rows]}, args)
+                    "columns": ["x", "y", "re", "im"], "rows": rows.tolist()}, args)
     return EXIT_OK
 
 

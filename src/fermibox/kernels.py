@@ -34,7 +34,7 @@ from .boundary import (
     make_preset,
     to_json as boundary_to_json,
 )
-from .spectral import EigenMode, Spectrum, solve_spectrum
+from .spectral import MAX_LEVELS, EigenMode, Spectrum, solve_spectrum
 from .thermo import fermi_factor
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
-MAX_THERMAL_LEVELS = 20_000    # ceiling on the energy levels of a finite-T closed family
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +323,7 @@ def ground_state_kernel(source, n: int) -> Kernel:
 def _closed_finite_t_family(label: str, t: float, mu: float, eps: float) -> ModeFamily | None:
     """Closed family truncated with a certified geometric tail bound.
 
-    Raises ValueError when the cut would keep more than MAX_THERMAL_LEVELS
+    Raises ValueError when the cut would keep more than MAX_LEVELS
     energy levels.
     """
     # level j has energy (s (j + off))^2, j = first, first + 1, ...;
@@ -337,22 +336,22 @@ def _closed_finite_t_family(label: str, t: float, mu: float, eps: float) -> Mode
     e_of = lambda j: (s * (j + off)) ** 2
     # first level above mu, from the closed form, then rounding corrected
     j = max(first, int(np.sqrt(max(mu, 0.0)) / s - off))
-    if j - first >= MAX_THERMAL_LEVELS:
-        raise ValueError(f"mu = {mu:.3g} lies above {MAX_THERMAL_LEVELS} levels of {label}")
+    if j - first >= MAX_LEVELS:
+        raise ValueError(f"mu = {mu:.3g} lies above {MAX_LEVELS} levels of {label}")
     while e_of(j) <= mu:
         j += 1
     while j > first and e_of(j - 1) > mu:
         j -= 1
     # cut at the first j whose remaining occupancy sum is certifiably below
     # eps: sum_{i > j} F(E_i) <= F(E_{j+1}) / (1 - exp(-gap/t)), decreasing in j
-    js = np.arange(j, first + MAX_THERMAL_LEVELS, dtype=float)
+    js = np.arange(j, first + MAX_LEVELS, dtype=float)
     gap = e_of(js + 1) - e_of(js)
     with np.errstate(over="ignore"):
         tail = 2.0 * fermi_factor(e_of(js + 1), t, mu) / np.maximum(1e-300, -np.expm1(-gap / t))
     cut = np.flatnonzero(tail < eps)
     if len(cut) == 0:
         raise ValueError(f"T = {t:.3g}, mu = {mu:.3g} need more than "
-                         f"{MAX_THERMAL_LEVELS} levels of {label}")
+                         f"{MAX_LEVELS} levels of {label}")
     j = int(js[cut[0]])
     if label == "periodic":
         ks = np.arange(-j, j + 1, dtype=float)

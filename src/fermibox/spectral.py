@@ -6,6 +6,12 @@ the parameter points where an eigenphase passes through a multiple of 2*pi.
 The phase unwrapping is done in closed form, not numerically, so the scan is
 robust to coarse grids.  Degeneracies (at most double here) are resolved
 through the singular values of the boundary pencil.
+
+Every stage works on whole arrays: one eigenphase evaluation over all scan
+nodes of a sector, one bisection over all its brackets to brentq's
+tolerance, one stacked SVD for the modes.  No scan passes MAX_LEVELS levels
+by the Weyl count (ValueError), and phases are pinned on the first
+coefficient within 1e-8 relative of the largest, so ties never hang on rounding.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .boundary import BoundaryData, BoundaryMatrix
 
@@ -37,6 +42,7 @@ GRID_STEP = np.pi / 8.0
 DEGENERACY_TOL = 1e-8
 ZERO_MODE_TOL = 1e-8
 OMEGA_FLOOR = 1e-6
+MAX_LEVELS = 20_000    # ceiling on the modes of one solve (Weyl count)
 
 
 class RootSearchFailure(RuntimeError):
@@ -109,36 +115,35 @@ class WeylReport:
 #
 # P rows are (value at 2*pi, value at 0) of the basis functions; Q rows are
 # the inward derivatives at the same edges.  The self-adjointness relation for
-# psi = x1 f1 + x2 f2 becomes (P - iQ) x = U (P + iQ) x.
+# psi = x1 f1 + x2 f2 becomes (P - iQ) x = U (P + iQ) x.  Every builder takes
+# a scalar or an array of parameters and returns a (..., 2, 2) stack.
 
 
-def _trig_pq(omega: float) -> tuple[np.ndarray, np.ndarray]:
+def _mat(a, b, c, d) -> np.ndarray:
+    """The stack of 2x2 matrices [[a, b], [c, d]] over the broadcast entries."""
+    a, b, c, d = np.broadcast_arrays(a, b, c, d)
+    return np.stack([np.stack([a, b], -1), np.stack([c, d], -1)], -2)
+
+
+def _trig_pq(omega) -> tuple[np.ndarray, np.ndarray]:
     c, s = np.cos(L * omega), np.sin(L * omega)
-    p = np.array([[c, s], [1.0, 0.0]])
-    q = np.array([[omega * s, -omega * c], [0.0, omega]])
-    return p, q
+    return _mat(c, s, 1.0, 0.0), _mat(omega * s, -omega * c, 0.0, omega)
 
 
-def _hyp_pq(kappa: float) -> tuple[np.ndarray, np.ndarray]:
+def _hyp_pq(kappa) -> tuple[np.ndarray, np.ndarray]:
     # in the decaying basis {exp(-k x), exp(-k (2*pi - x))}; bounded for any k
     q_ = np.exp(-L * kappa)
-    p = np.array([[q_, 1.0], [1.0, q_]])
-    q = np.array([[kappa * q_, -kappa], [-kappa, kappa * q_]])
-    return p, q
+    return _mat(q_, 1.0, 1.0, q_), _mat(kappa * q_, -kappa, -kappa, kappa * q_)
 
 
 def _hyp_pq_coshsinh(kappa: float) -> tuple[np.ndarray, np.ndarray]:
     # only for the secular_det diagnostic; overflows for kappa >~ 56
     ch, sh = np.cosh(L * kappa), np.sinh(L * kappa)
-    p = np.array([[ch, sh], [1.0, 0.0]])
-    q = np.array([[-kappa * sh, -kappa * ch], [0.0, kappa]])
-    return p, q
+    return _mat(ch, sh, 1.0, 0.0), _mat(-kappa * sh, -kappa * ch, 0.0, kappa)
 
 
 def _linear_pq() -> tuple[np.ndarray, np.ndarray]:
-    p = np.array([[1.0, L], [1.0, 0.0]])
-    q = np.array([[0.0, -1.0], [0.0, 1.0]])
-    return p, q
+    return _mat(1.0, L, 1.0, 0.0), _mat(0.0, -1.0, 0.0, 1.0)
 
 
 def _pencil(u: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -170,14 +175,14 @@ def secular_det(bc: BoundaryMatrix, e: float) -> complex:
 # continuous through a closed-form factorization of det B.
 
 
-def _arg_det_b_trig(omega: float) -> float:
+def _arg_det_b_trig(omega):
     # det B = (i/2) [(1+w)^2 e^{i L w} - (1-w)^2 e^{-i L w}]
     r = ((1.0 - omega) / (1.0 + omega)) ** 2
     tail = 1.0 - r * np.exp(-2j * L * omega)
     return 0.5 * np.pi + L * omega + np.angle(tail)
 
 
-def _arg_det_b_hyp(kappa: float) -> float:
+def _arg_det_b_hyp(kappa):
     # det B = -(1 - i k)^2 [1 - e^{-2 L k} ((1+ik)/(1-ik))^2]
     q2 = np.exp(-2.0 * L * kappa)
     rot = np.exp(4j * np.arctan(kappa))
@@ -188,176 +193,168 @@ def _alpha_u(bc: BoundaryMatrix) -> float:
     return float(-np.angle(np.linalg.det(bc.matrix)))
 
 
-def _theta_pair(bc: BoundaryMatrix, x: float, sector: str, alpha: float) -> tuple[float, float]:
-    if sector == "trig":
-        p, q = _trig_pq(x)
-        phi = alpha - 2.0 * _arg_det_b_trig(x)
-    else:
-        p, q = _hyp_pq(x)
-        phi = alpha - 2.0 * _arg_det_b_hyp(x)
-    a = p - 1j * q
+def _thetas(u: np.ndarray, xs: np.ndarray, sector: str, alpha: float) -> np.ndarray:
+    """Both eigenphase branches at every parameter point, shape (n, 2).
+
+    tr V = tr(U^H A adj B) / det B with the 2x2 adjugate written out."""
+    pq, argd = (_trig_pq, _arg_det_b_trig) if sector == "trig" else (_hyp_pq, _arg_det_b_hyp)
+    p, q = pq(xs)
+    phi = alpha - 2.0 * argd(xs)
+    w = np.einsum("ki,nkj->nij", u.conj(), p - 1j * q, optimize=True)  # U^H A
     b = p + 1j * q
-    v = bc.matrix.conj().T @ a @ np.linalg.inv(b)
-    c = np.clip((np.exp(-0.5j * phi) * np.trace(v)).real / 2.0, -1.0, 1.0)
-    rho = float(np.arccos(c))
-    return phi / 2.0 + rho, phi / 2.0 - rho
+    det_b = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
+    tr = (w[:, 0, 0] * b[:, 1, 1] - w[:, 0, 1] * b[:, 1, 0]
+          - w[:, 1, 0] * b[:, 0, 1] + w[:, 1, 1] * b[:, 0, 0]) / det_b
+    rho = np.arccos(np.clip((np.exp(-0.5j * phi) * tr).real / 2.0, -1.0, 1.0))
+    return np.stack([phi / 2.0 + rho, phi / 2.0 - rho], -1)
 
 
-def _branch_roots(
-    bc: BoundaryMatrix, sector: str, x_lo: float, x_hi: float, alpha: float
-) -> list[float]:
-    """All parameter points in [x_lo, x_hi] where an eigenphase hits 2*pi*Z."""
+def _bisect(f, lo, hi, f_lo, f_hi, xtol: float) -> np.ndarray:
+    """Roots of the vectorized f in brackets [lo, hi] with f_lo * f_hi < 0.
+
+    Each bracket halves until |hi - lo| <= xtol + 8.9e-16 |x| (brentq's rule);
+    a final secant step inside it then lands within rounding of a smooth root.
+    """
+    while True:
+        go = hi - lo > xtol + 8.9e-16 * np.abs(lo)
+        if not go.any():
+            return lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        up = go & (f_mid * f_lo > 0.0)
+        down = go & ~up
+        lo, f_lo = np.where(up, mid, lo), np.where(up, f_mid, f_lo)
+        hi, f_hi = np.where(down, mid, hi), np.where(down, f_mid, f_hi)
+
+
+def _branch_roots(u: np.ndarray, sector: str, x_lo: float, x_hi: float, alpha: float) -> np.ndarray:
+    """All parameter points in [x_lo, x_hi] where an eigenphase hits 2*pi*Z, sorted."""
     n_cells = max(2, int(np.ceil((x_hi - x_lo) / GRID_STEP)))
+    if not n_cells <= 10 * MAX_LEVELS:  # about 50 MB of arrays; only a bound-state scan gets here
+        raise ValueError(f"a {sector} scan to {x_hi:.3g} needs more than {10 * MAX_LEVELS} cells")
     nodes = np.linspace(x_lo, x_hi, n_cells + 1)
-    thetas = np.array([_theta_pair(bc, x, sector, alpha) for x in nodes])
-    roots: list[float] = []
-    for branch in (0, 1):
-        th = thetas[:, branch]
-        for i in range(n_cells):
-            t0, t1 = th[i], th[i + 1]
-            m_lo = int(np.ceil(min(t0, t1) / (2.0 * np.pi) - 1e-12))
-            m_hi = int(np.floor(max(t0, t1) / (2.0 * np.pi) + 1e-12))
-            for m in range(m_lo, m_hi + 1):
-                level = 2.0 * np.pi * m
-                f0, f1 = t0 - level, t1 - level
-                if abs(f0) < 1e-13:
-                    roots.append(float(nodes[i]))
-                    continue
-                if abs(f1) < 1e-13:
-                    if i == n_cells - 1:
-                        roots.append(float(nodes[i + 1]))
-                    continue
-                if f0 * f1 < 0.0:
-                    def fn(x: float, _b: int = branch, _lv: float = level) -> float:
-                        return _theta_pair(bc, x, sector, alpha)[_b] - _lv
-
-                    roots.append(float(brentq(fn, nodes[i], nodes[i + 1], xtol=1e-13, rtol=8.9e-16)))
-    return sorted(roots)
+    thetas = _thetas(u, nodes, sector, alpha)
+    # one row per (cell, branch), then one entry per level 2*pi*m it crosses
+    t0, t1 = thetas[:-1].ravel(), thetas[1:].ravel()
+    m_lo = np.ceil(np.minimum(t0, t1) / (2.0 * np.pi) - 1e-12).astype(int)
+    m_hi = np.floor(np.maximum(t0, t1) / (2.0 * np.pi) + 1e-12).astype(int)
+    n_levels = np.maximum(m_hi - m_lo + 1, 0)
+    row = np.repeat(np.arange(len(t0)), n_levels)
+    first = np.repeat(np.cumsum(n_levels) - n_levels, n_levels)
+    level = 2.0 * np.pi * (m_lo[row] + np.arange(len(row)) - first)
+    cell, branch = row // 2, row % 2
+    f0, f1 = t0[row] - level, t1[row] - level
+    hit0 = np.abs(f0) < 1e-13
+    hit1 = ~hit0 & (np.abs(f1) < 1e-13) & (cell == n_cells - 1)
+    brk = ~hit0 & (np.abs(f1) >= 1e-13) & (f0 * f1 < 0.0)
+    cell, branch, level = cell[brk], branch[brk], level[brk]
+    roots = _bisect(lambda x: _thetas(u, x, sector, alpha)[np.arange(len(x)), branch] - level,
+                    nodes[cell], nodes[cell + 1], f0[brk], f1[brk], 1e-13)
+    return np.sort(np.concatenate([nodes[row[hit0] // 2], nodes[row[hit1] // 2 + 1], roots]))
 
 
 # ---------------------------------------------------------------------------
 # mode construction
 
 
-def _gram_trig(omega: float) -> np.ndarray:
+def _gram_trig(omega) -> np.ndarray:
     s4 = np.sin(2.0 * L * omega) / (4.0 * omega)
     ics = np.sin(L * omega) ** 2 / (2.0 * omega)
-    return np.array([[np.pi + s4, ics], [ics, np.pi - s4]])
+    return _mat(np.pi + s4, ics, ics, np.pi - s4)
 
 
-def _gram_hyp_decay(kappa: float) -> np.ndarray:
+def _gram_hyp_decay(kappa) -> np.ndarray:
     q_ = np.exp(-L * kappa)
     diag = (1.0 - q_ * q_) / (2.0 * kappa)
-    off = L * q_
-    return np.array([[diag, off], [off, diag]])
+    return _mat(diag, L * q_, L * q_, diag)
 
 
 def _gram_linear() -> np.ndarray:
     return np.array([[L, L * L / 2.0], [L * L / 2.0, L**3 / 3.0]])
 
 
-def _phase_fix(x: np.ndarray) -> np.ndarray:
-    j = int(np.argmax(np.abs(x)))
-    if np.abs(x[j]) == 0.0:
-        return x
-    return x * (x[j].conjugate() / np.abs(x[j]))
-
-
-def _orthonormalize(vecs: list[np.ndarray], gram: np.ndarray) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
-    for v in vecs:
-        w = v.astype(complex)
-        for u in out:
-            w = w - (u.conj() @ gram @ w) * u
-        nrm2 = (w.conj() @ gram @ w).real
-        if not np.isfinite(nrm2) or nrm2 <= 0.0:
-            raise NormalizationFailure(
-                f"Gram norm {nrm2!r} for candidate eigenfunction; boundary coupling too extreme"
-            )
-        out.append(_phase_fix(w / np.sqrt(nrm2)))
+def _phase_fix(rows: np.ndarray) -> np.ndarray:
+    """Make each row's pivot real positive: its first component whose |.| is
+    within 1e-8 relative of the largest, so ties never hang on the last bit."""
+    mag = np.abs(rows)
+    at = np.arange(len(rows)), np.argmax(mag >= (1.0 - 1e-8) * mag.max(axis=1, keepdims=True), axis=1)
+    out = rows * (rows[at].conj() / np.maximum(mag[at], np.finfo(float).tiny))[:, None]
+    out[at] = mag[at]  # exactly real, whatever the rounding of the product
     return out
 
 
-def _modes_at(bc: BoundaryMatrix, sector: str, x: float, group_size: int) -> list[EigenMode]:
-    u = bc.matrix
-    if sector == "trig":
-        p, q = _trig_pq(x)
-        gram = _gram_trig(x)
-        energy = x * x
-    else:
-        p, q = _hyp_pq(x)
-        gram = _gram_hyp_decay(x)
-        energy = -x * x
-    m = _pencil(u, p, q)
-    scale = np.linalg.norm(p - 1j * q) + np.linalg.norm(u @ (p + 1j * q))
-    _, s, vh = np.linalg.svd(m)
-    mult = min(2, max(int(np.sum(s <= DEGENERACY_TOL * scale)), 1, group_size))
-    # right singular vectors, smallest singular value last; emit the pair
-    # largest-first so the deterministic phase choice is reproducible
-    vecs = [vh[1].conj()] if mult == 1 else [vh[0].conj(), vh[1].conj()]
-    coeffs = _orthonormalize(vecs, gram)
-    modes = []
-    for cf in coeffs:
-        if sector == "trig":
-            modes.append(EigenMode("trig", energy, complex(cf[0]), complex(cf[1])))
-        else:
-            c1, c2 = complex(cf[0]), complex(cf[1])
-            qfac = np.exp(-L * x)
-            a = c1 + c2 * qfac
-            b = -c1 + c2 * qfac
-            modes.append(EigenMode("hyperbolic", energy, a, b, decay=(c1, c2)))
-    return modes
+def _pencil_modes(u, p, q, gram, sizes, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Multiplicities and normalized coefficient rows of a stack of pencils.
+
+    Pencil i yields one mode per singular value below tol (relative), at
+    least sizes[i] and at most two: the last right singular vector, or both,
+    largest first, the second Gram-orthogonalized against the first.
+    """
+    scale = (np.linalg.norm(p - 1j * q, axis=(1, 2))
+             + np.linalg.norm(u @ (p + 1j * q), axis=(1, 2)))
+    _, s, vh = np.linalg.svd(_pencil(u, p, q))
+    mult = np.minimum(2, np.maximum(np.sum(s <= tol * scale[:, None], axis=1), sizes))
+    src = np.repeat(np.arange(len(mult)), mult)
+    second = np.diff(src, prepend=-1) == 0
+    vecs, g = vh[src, np.where((mult[src] == 2) & ~second, 0, 1)].conj(), gram[src]
+    out = np.zeros_like(vecs)
+    for part in (~second, second):  # first mode of each pencil, then its partner
+        w, gp = vecs[part], g[part]
+        prev = out[np.flatnonzero(part) - 1] * second[part, None]
+        w = w - np.einsum("ni,nij,nj->n", prev.conj(), gp, w)[:, None] * prev
+        nrm2 = np.einsum("ni,nij,nj->n", w.conj(), gp, w).real
+        bad = nrm2[~(np.isfinite(nrm2) & (nrm2 > 0.0))]
+        if len(bad):
+            raise NormalizationFailure(f"Gram norm {bad[0]!r} for candidate eigenfunction; "
+                                       "boundary coupling too extreme")
+        out[part] = w / np.sqrt(nrm2)[:, None]
+    return mult, _phase_fix(out)
 
 
-def _zero_modes(bc: BoundaryMatrix) -> list[EigenMode]:
-    u = bc.matrix
-    p, q = _linear_pq()
-    m = _pencil(u, p, q)
-    scale = np.linalg.norm(p - 1j * q) + np.linalg.norm(u @ (p + 1j * q))
-    _, s, vh = np.linalg.svd(m)
-    mult = int(np.sum(s <= ZERO_MODE_TOL * scale))
-    if mult == 0:
-        return []
-    vecs = [vh[2 - k].conj() for k in range(1, mult + 1)][::-1]
-    coeffs = _orthonormalize(vecs, _gram_linear())
-    return [EigenMode("linear", 0.0, complex(c[0]), complex(c[1])) for c in coeffs]
+def _sector_modes(u: np.ndarray, sector: str, xs: np.ndarray, sizes: np.ndarray):
+    """The root of every mode of one sector and its coefficient rows: (a, b)
+    for trig, the decay pair (c1, c2) for hyp."""
+    pq, gram = (_trig_pq, _gram_trig) if sector == "trig" else (_hyp_pq, _gram_hyp_decay)
+    mult, rows = _pencil_modes(u, *pq(xs), gram(xs), sizes, DEGENERACY_TOL)
+    return np.repeat(xs, mult), rows
 
 
-def _group_roots(roots: list[float], atol_scale: float = 1e-6) -> list[tuple[float, int]]:
-    groups: list[tuple[float, int]] = []
-    for r in roots:
-        if groups and abs(r - groups[-1][0]) <= atol_scale * max(1.0, abs(r)):
-            x0, n = groups[-1]
-            groups[-1] = ((x0 * n + r) / (n + 1), n + 1)
-        else:
-            groups.append((r, 1))
-    return groups
+def _group_roots(roots: np.ndarray, atol_scale: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+    """Merge sorted roots closer than atol_scale (relative): centres and sizes."""
+    if len(roots) == 0:
+        return roots, np.zeros(0, dtype=int)
+    gap = np.diff(roots) > atol_scale * np.maximum(1.0, np.abs(roots[1:]))
+    starts = np.flatnonzero(np.r_[True, gap])
+    sizes = np.diff(np.r_[starts, len(roots)])
+    return np.add.reduceat(roots, starts) / sizes, sizes
 
 
-def _refine_double(bc: BoundaryMatrix, sector: str, x0: float, alpha: float) -> float:
-    """Polish a double root via the branch-phase sum.
+def _refine_double(sector: str, x0: np.ndarray, alpha: float) -> np.ndarray:
+    """Polish double roots via the branch-phase sum.
 
-    Individual eigenphase branches have a kink at a tangency, so brentq only
-    locates such roots to about sqrt(machine eps).  Their sum phi is smooth
-    and crosses 2*pi*(m1 + m2) transversally at the double root; root-find on
-    that instead.
+    Individual eigenphase branches have a kink at a tangency, so bisection
+    there only locates such roots to about sqrt(machine eps).  Their sum phi
+    is smooth and crosses 2*pi*(m1 + m2) transversally at the double root.
     """
     argd = _arg_det_b_trig if sector == "trig" else _arg_det_b_hyp
-
-    def phi(x: float) -> float:
-        return alpha - 2.0 * argd(x)
-
+    phi = lambda x: alpha - 2.0 * argd(x)
     target = 2.0 * np.pi * np.round(phi(x0) / (2.0 * np.pi))
-    h = 1e-5 * max(1.0, abs(x0))
-    lo, hi = max(x0 - h, OMEGA_FLOOR / 2.0), x0 + h
+    h = 1e-5 * np.maximum(1.0, np.abs(x0))
+    lo, hi = np.maximum(x0 - h, OMEGA_FLOOR / 2.0), x0 + h
     f_lo, f_hi = phi(lo) - target, phi(hi) - target
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
-        return x0
-    return float(brentq(lambda x: phi(x) - target, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    out = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, x0))
+    brk = f_lo * f_hi < 0.0
+    out[brk] = _bisect(lambda x: phi(x) - target[brk], lo[brk], hi[brk],
+                       f_lo[brk], f_hi[brk], 1e-14)
+    return out
+
+
+def _roots(u: np.ndarray, sector: str, x_hi: float, alpha: float):
+    """Grouped roots of one sector in [OMEGA_FLOOR, x_hi], doubles polished, and group sizes."""
+    found = _branch_roots(u, sector, OMEGA_FLOOR, x_hi, alpha) if x_hi > OMEGA_FLOOR else np.zeros(0)
+    xs, sizes = _group_roots(found)
+    xs[sizes >= 2] = _refine_double(sector, xs[sizes >= 2], alpha)
+    return xs, sizes
 
 
 def _kappa_ceiling(bc: BoundaryMatrix) -> float:
@@ -388,65 +385,64 @@ def solve_spectrum(
 ) -> Spectrum:
     """Solve for all eigenvalues up to e_max, or for the first `count` modes.
 
-    Modes come back sorted by energy, L2-normalized with deterministic phases
-    (largest coefficient real positive), orthonormalized within degenerate
-    pairs.  Raises RootSearchFailure if the scan cannot deliver.
+    Each sector (bound states, then oscillatory modes) is scanned once over
+    one array of nodes; all its brackets are bisected together until
+    |hi - lo| <= 1e-13 + 8.9e-16 |x| (brentq's rule).  A count request scans
+    up to Weyl's estimate and retries 1.8x higher if short.  Modes come back
+    sorted by energy, L2-normalized with deterministic phases (the first
+    coefficient within 1e-8 relative of the largest in magnitude is real
+    positive), orthonormalized within degenerate pairs.  Raises ValueError
+    when the Weyl count of a scan (count, or 2 sqrt(e_max) + 2) passes
+    MAX_LEVELS, and RootSearchFailure if the scan cannot deliver.
     """
     if (count is None) == (e_max is None):
         raise ValueError("give exactly one of count, e_max")
     if count is not None and count < 1:
         raise ValueError("count must be positive")
 
+    u = bc.matrix
     alpha = _alpha_u(bc)
     target = count
     ceiling = e_max if e_max is not None else ((target + 6) / 2.0) ** 2
 
-    for _attempt in range(7):
-        modes: list[EigenMode] = []
+    kappa_groups, kappa_sizes = _roots(u, "hyp", _kappa_ceiling(bc), alpha)
+    kappa, hyp_rows = _sector_modes(u, "hyp", kappa_groups, kappa_sizes)
+    by_energy = np.argsort(-kappa * kappa, kind="stable")
+    kappa, hyp_rows = kappa[by_energy], hyp_rows[by_energy]
+    zero = _pencil_modes(u, *(m[None] for m in _linear_pq()), _gram_linear()[None], 0, ZERO_MODE_TOL)[1]
 
-        kappa_max = _kappa_ceiling(bc)
-        neg_groups = _group_roots(_branch_roots(bc, "hyp", OMEGA_FLOOR, kappa_max, alpha))
-        for kappa, size in neg_groups:
-            if size >= 2:
-                kappa = _refine_double(bc, "hyp", kappa, alpha)
-            modes.extend(_modes_at(bc, "hyp", kappa, size))
-        modes.sort(key=lambda m: m.energy)
-
-        omega_max = float(np.sqrt(ceiling))
-        pos_groups = []
-        if omega_max > OMEGA_FLOOR:
-            pos_groups = _group_roots(_branch_roots(bc, "trig", OMEGA_FLOOR, omega_max, alpha))
-
+    for attempt in range(7):
+        omega_max = float(np.sqrt(max(ceiling, 0.0)))
+        levels = count if count is not None and attempt == 0 else 2.0 * omega_max + 2.0
+        if not levels <= MAX_LEVELS:
+            raise ValueError(f"{levels:.6g} levels requested, above the ceiling of {MAX_LEVELS}")
+        omega_groups, omega_sizes = _roots(u, "trig", omega_max, alpha)
         # The linear sector's singular values scale with the distance to the
         # nearest eigenvalue, so a root just above the scan floor would be
         # double-counted as a zero mode; drop one for each near-zero root.
-        zero = _zero_modes(bc)
-        n_near = sum(size for x, size in neg_groups if x <= 2e-4)
-        n_near += sum(size for x, size in pos_groups if x <= 2e-4)
-        modes.extend(zero[: max(0, len(zero) - n_near)])
-
-        for omega, size in pos_groups:
-            if size >= 2:
-                omega = _refine_double(bc, "trig", omega, alpha)
-            modes.extend(_modes_at(bc, "trig", omega, size))
-
-        modes = [m for m in modes if m.energy <= ceiling + 1e-9]
-        if target is None or len(modes) >= target:
+        n_near = int(np.sum(kappa_sizes[kappa_groups <= 2e-4])
+                     + np.sum(omega_sizes[omega_groups <= 2e-4]))
+        n_zero = max(0, len(zero) - n_near)
+        omega, trig_rows = _sector_modes(u, "trig", omega_groups, omega_sizes)
+        # ascending: bound states, zero modes, oscillatory modes
+        energy = np.concatenate([-kappa * kappa, np.zeros(n_zero), omega * omega])
+        n_modes = int(np.sum(energy <= ceiling + 1e-9))
+        if target is None or n_modes >= target:
             break
         ceiling *= 1.8
     else:
         raise RootSearchFailure(
-            f"found {len(modes)} modes below e_max={ceiling:.3g}, wanted {target}"
+            f"found {n_modes} modes below e_max={ceiling:.3g}, wanted {target}"
         )
 
-    if target is not None:
-        modes = modes[:target]
-        ceiling = modes[-1].energy if modes else 0.0
-    modes = [
-        EigenMode(m.kind, m.energy, m.a, m.b, index=i, decay=m.decay)
-        for i, m in enumerate(modes)
-    ]
-    return Spectrum(bc=bc, modes=tuple(modes), e_max=float(ceiling))
+    c1, c2 = hyp_rows[:, 0], hyp_rows[:, 1] * np.exp(-L * kappa)
+    a = np.concatenate([c1 + c2, zero[:n_zero, 0], trig_rows[:, 0]]).tolist()
+    b = np.concatenate([c2 - c1, zero[:n_zero, 1], trig_rows[:, 1]]).tolist()
+    kinds = ["hyperbolic"] * len(kappa) + ["linear"] * n_zero + ["trig"] * len(omega)
+    decays = list(zip(hyp_rows[:, 0].tolist(), hyp_rows[:, 1].tolist())) + [None] * len(a)
+    modes = tuple(EigenMode(*row, index=i, decay=decays[i]) for i, row in
+                  zip(range(target or n_modes), zip(kinds, energy.tolist(), a, b)))
+    return Spectrum(bc=bc, modes=modes, e_max=float(ceiling if target is None else modes[-1].energy))
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,11 @@ def test_exit_codes_usage_numerical_baseline():
           "--mu", "1"], 1),
         (["sample", "--kind", "gc", "--bc", "periodic", "--t", "1",
           "--mu", "1e300"], 1),
+        # past the solver's mode ceiling: refused before any scan
+        (["spectrum", "--bc", "dirichlet", "--emax", "1e12"], 1),
+        (["spectrum", "--bc", "dirichlet", "--count", "100000"], 1),
+        (["sample", "--kind", "gc", "--bc", "robin:1", "--t", "1e12",
+          "--mu", "1"], 1),
     ]
     for argv, want in cases:
         code, _, err = run_cli(argv)

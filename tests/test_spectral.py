@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
 
 from fermibox import boundary as fb
 from fermibox import spectral as fs
@@ -214,3 +215,81 @@ def test_secular_det_negative_energy_sign_change():
     lo = fs.secular_det(bc, -1.0)
     hi = fs.secular_det(bc, -0.05)
     assert np.sign(lo.real) != np.sign(hi.real)
+
+
+class TestHighCount:
+    """Count-2000 spectra against roots found independently of the solver."""
+
+    def test_robin_matches_scalar_secular_equations(self):
+        # even and odd modes about the box centre solve
+        # w sin(pi w) = h cos(pi w) and w cos(pi w) = -h sin(pi w), h = tan(alpha/2)
+        alpha = np.pi / 2
+        h = np.tan(alpha / 2)
+        secular = (lambda w: w * np.sin(np.pi * w) - h * np.cos(np.pi * w),
+                   lambda w: w * np.cos(np.pi * w) + h * np.sin(np.pi * w))
+        grid = np.linspace(1e-9, 1005.0, 200_001)
+        roots = []
+        for f in secular:
+            v = f(grid)
+            for i in np.flatnonzero(v[:-1] * v[1:] < 0):
+                roots.append(brentq(f, grid[i], grid[i + 1], xtol=1e-15, rtol=1e-15))
+        expect = np.sort(roots)[:2000] ** 2
+        sp = solve("robin", alpha, count=2000)
+        assert_allclose(sp.energies, expect, rtol=1e-12, atol=0)
+
+    def test_dirichlet_closed_form(self):
+        k = np.arange(1, 2001)
+        assert_allclose(solve("dirichlet", count=2000).energies, (k / 2.0) ** 2,
+                        rtol=1e-12, atol=0)
+
+    def test_periodic_closed_form_with_double_roots(self):
+        k = np.repeat(np.arange(1, 1001), 2)[:1999]  # each k^2 counted twice
+        sp = solve("periodic", count=2000)
+        assert_allclose(sp.energies, np.r_[0.0, k**2.0], rtol=1e-12, atol=1e-12)
+
+
+class TestTieProofPhases:
+    """Modes with |first| = |second| coefficient get the first one real positive."""
+
+    @pytest.mark.parametrize("name,params,sector", [
+        ("robin", (-np.pi / 2,), "hyp"),
+        ("pseudo_periodic", (0.7,), "trig"),
+    ])
+    def test_first_coefficient_real_positive_and_stable(self, name, params, sector):
+        bc = fb.make_preset(name, *params)
+        alpha = fs._alpha_u(bc)
+        x_hi = fs._kappa_ceiling(bc) if sector == "hyp" else 40.0
+        xs, sizes = fs._roots(bc.matrix, sector, x_hi, alpha)
+        _, rows = fs._sector_modes(bc.matrix, sector, xs, sizes)
+        mag = np.abs(rows)
+        tie = np.abs(mag[:, 0] - mag[:, 1]) <= 1e-12 * mag.max(axis=1)
+        assert tie.sum() >= 2
+        assert np.all(rows[tie, 0].real > 0)
+        assert np.all(rows[tie, 0].imag == 0.0)
+        for shift in (1e-14, -1e-14):
+            _, moved = fs._sector_modes(bc.matrix, sector, xs * (1 + shift), sizes)
+            assert_allclose(moved[tie], rows[tie], atol=1e-9)
+
+    def test_solved_modes_carry_the_rule(self):
+        sp = solve("robin", -np.pi / 2, count=4)
+        bound = [m for m in sp.modes if m.kind == "hyperbolic"]
+        assert len(bound) == 2
+        for m in bound:
+            assert m.decay[0].real > 0 and m.decay[0].imag == 0.0
+        for m in solve("pseudo_periodic", 0.7, count=20).modes:
+            assert m.a.real > 0 and m.a.imag == 0.0
+
+
+def test_mode_ceiling_raises_before_scanning():
+    # the Weyl count (count, or 2 sqrt(e_max) + 2) is checked against
+    # MAX_LEVELS before any scan array is allocated
+    bc = fb.make_preset("dirichlet")
+    for kwargs in ({"e_max": 1e12}, {"e_max": np.inf}, {"count": fs.MAX_LEVELS + 1}):
+        with pytest.raises(ValueError, match="ceiling"):
+            fs.solve_spectrum(bc, **kwargs)
+    e_top = ((fs.MAX_LEVELS - 2) / 2.0) ** 2
+    with pytest.raises(ValueError, match="ceiling"):
+        fs.solve_spectrum(bc, e_max=e_top * 1.001)
+    # a bound-state scan for a huge coupling is capped the same way
+    with pytest.raises(ValueError, match="cells"):
+        fs.solve_spectrum(fb.make_preset("delta", -1e5), count=3)
