@@ -30,6 +30,7 @@ __all__ = [
     "ScalingReport",
     "estimate_density",
     "estimate_pair_correlation",
+    "bin_average",
     "kernel_distance",
     "bulk_scaling_study",
     "edge_scaling_study",
@@ -142,49 +143,50 @@ def estimate_pair_correlation(samples, grid2d,
     Poisson; the standard errors therefore come from the across-sample
     spread of the per-sample counts.
     """
-    configs = _clean_samples(samples, 1000)
-    edges = _as_edges(grid2d, support)
+    return _pair_estimate(_clean_samples(samples, 1000), grid2d, support, reduced)
+
+
+def _pair_estimate(configs, bins, support: tuple[float, float],
+                   reduced: bool) -> CorrelationEstimate:
+    """Ordered-pair counts of `configs` with errors from their spread."""
+    edges = _as_edges(bins, support)
     m = len(configs)
     width = np.diff(edges)
     length = float(support[1]) - float(support[0])
-
-    if reduced:
-        counts = np.zeros(edges.size - 1)
-        squares = np.zeros(edges.size - 1)
-        for pts in configs:
-            if pts.size < 2:
-                continue
-            sep = (pts[:, None] - pts[None, :]) % length
-            sep = sep[~np.eye(pts.size, dtype=bool)]
-            h = np.histogram(sep, bins=edges)[0]
-            counts += h
-            squares += h.astype(float) ** 2
-        norm = m * length * width
-        values = counts / norm
-        spread = np.sqrt(np.maximum(squares - counts ** 2 / m, 0.0) / (m - 1))
-        stderr = spread / (np.sqrt(m) * length * width)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        return CorrelationEstimate(grid=centers, values=values, stderr=stderr,
-                                   n_samples=m)
-
-    counts = np.zeros((edges.size - 1, edges.size - 1))
+    nb = edges.size - 1
+    counts = np.zeros(nb if reduced else (nb, nb))
     squares = np.zeros_like(counts)
     for pts in configs:
         if pts.size < 2:
             continue
-        xi = np.repeat(pts, pts.size)
-        yj = np.tile(pts, pts.size)
-        keep = xi != yj
-        h = np.histogram2d(xi[keep], yj[keep], bins=(edges, edges))[0]
+        if reduced:
+            sep = (pts[:, None] - pts[None, :]) % length
+            h = np.histogram(sep[~np.eye(pts.size, dtype=bool)], bins=edges)[0]
+        else:
+            xi = np.repeat(pts, pts.size)
+            yj = np.tile(pts, pts.size)
+            keep = xi != yj
+            h = np.histogram2d(xi[keep], yj[keep], bins=(edges, edges))[0]
         counts += h
-        squares += h ** 2
-    area = width[:, None] * width[None, :]
-    values = counts / (m * area)
+        squares += h.astype(float) ** 2
+    # per-bin measure: separation bins cover the whole circle of positions
+    scale, cell = (length, width) if reduced else (1.0, width[:, None] * width[None, :])
+    values = counts / (m * scale * cell)
     spread = np.sqrt(np.maximum(squares - counts ** 2 / m, 0.0) / (m - 1))
-    stderr = spread / (np.sqrt(m) * area)
+    stderr = spread / (np.sqrt(m) * scale * cell)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    return CorrelationEstimate(grid=(centers, centers), values=values,
-                               stderr=stderr, n_samples=m)
+    return CorrelationEstimate(grid=centers if reduced else (centers, centers),
+                               values=values, stderr=stderr, n_samples=m)
+
+
+def bin_average(f, lo: float, hi: float, bins: int, sub: int = 8) -> np.ndarray:
+    """Mean of f over `sub` midpoints in each of `bins` equal bins of [lo, hi].
+
+    The reference curve for a binned estimate: near contact the pair
+    density is too curved for one midpoint value per bin.
+    """
+    fine = np.linspace(lo, hi, sub * bins + 1)
+    return np.mean(np.asarray(f(0.5 * (fine[:-1] + fine[1:]))).reshape(bins, sub), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -231,25 +233,33 @@ def monotone_tail_ok(distances) -> bool:
     return rises in ([], [0])
 
 
-def _fit_rate(sizes, distances) -> float:
-    return float(np.polyfit(np.log(sizes), np.log(distances), 1)[0])
-
-
-def _checked_sizes(sizes) -> list[int]:
-    out = [int(n) for n in sizes]
-    if len(out) < 2 or any(b <= a for a, b in zip(out, out[1:])):
-        raise ValueError("need at least two strictly increasing sizes")
-    if any(n < 1 for n in out):
-        raise ValueError("sizes must be positive")
-    return out
-
-
 def _sup_gap(rescaled: np.ndarray, limit: np.ndarray) -> float:
     if np.iscomplexobj(rescaled):
         # Kernels carrying a position-dependent phase (twisted closures) are
         # only determined up to that gauge; compare the invariant modulus.
         return float(np.max(np.abs(np.abs(rescaled) - np.abs(limit))))
     return float(np.max(np.abs(rescaled - limit)))
+
+
+def _scaling_study(sizes, u: np.ndarray, limit, rescaling) -> ScalingReport:
+    """Sup distance to `limit` on u x u of each size's rescaled kernel.
+
+    ``rescaling(n)`` gives the size-n kernel, the points it is sampled at
+    for the grid u, and the prefactor of the rescaled kernel.  The rate is
+    the slope of the log-log fit of distance against size.
+    """
+    ns = [int(n) for n in sizes]
+    if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError("need at least two strictly increasing sizes")
+    if any(n < 1 for n in ns):
+        raise ValueError("sizes must be positive")
+    target = limit(u[:, None], u[None, :])
+    dists = []
+    for n in ns:
+        kern, x, factor = rescaling(n)
+        dists.append(_sup_gap(factor * kern(x[:, None], x[None, :]), target))
+    rate = float(np.polyfit(np.log(ns), np.log(dists), 1)[0])
+    return ScalingReport(sizes=tuple(ns), distances=tuple(dists), fitted_rate=rate)
 
 
 def bulk_scaling_study(bc, x0: float, sizes, grid=None) -> ScalingReport:
@@ -261,17 +271,9 @@ def bulk_scaling_study(bc, x0: float, sizes, grid=None) -> ScalingReport:
     """
     if not 0.0 < float(x0) < TWO_PI:
         raise ValueError(f"bulk point must be strictly interior, got {x0}")
-    ns = _checked_sizes(sizes)
     u = default_bulk_grid() if grid is None else np.asarray(grid, dtype=float)
-    target = kernel_sine()(u[:, None], u[None, :])
-    dists = []
-    for n in ns:
-        kern = ground_state_kernel(bc, n)
-        x = float(x0) + TWO_PI * u / n
-        rescaled = (TWO_PI / n) * kern(x[:, None], x[None, :])
-        dists.append(_sup_gap(rescaled, target))
-    return ScalingReport(sizes=tuple(ns), distances=tuple(dists),
-                         fitted_rate=_fit_rate(ns, dists))
+    return _scaling_study(sizes, u, kernel_sine(), lambda n: (
+        ground_state_kernel(bc, n), float(x0) + TWO_PI * u / n, TWO_PI / n))
 
 
 # Edge classes of the named boundary presets, as (at 0, at 2 pi).
@@ -378,18 +380,13 @@ def edge_scaling_study(bc, x0: float, limit, sizes, grid=None) -> ScalingReport:
             raise ValueError(
                 f"limit coupling {want} does not match the boundary's "
                 f"{coupling}")
-    ns = _checked_sizes(sizes)
     u = default_edge_grid() if grid is None else np.asarray(grid, dtype=float)
-    target_kernel = parse_kernel_spec({"Limit": {tag: cfg}})
-    target = target_kernel(u[:, None], u[None, :])
-    dists = []
-    for n in ns:
-        kern = ground_state_kernel(_sized_preset(name, params, n), n)
+
+    def rescaling(n):
         x = TWO_PI * u / n if side == 0 else TWO_PI - TWO_PI * u / n
-        rescaled = (TWO_PI / n) * kern(x[:, None], x[None, :])
-        dists.append(_sup_gap(rescaled, target))
-    return ScalingReport(sizes=tuple(ns), distances=tuple(dists),
-                         fitted_rate=_fit_rate(ns, dists))
+        return ground_state_kernel(_sized_preset(name, params, n), n), x, TWO_PI / n
+
+    return _scaling_study(sizes, u, parse_kernel_spec({"Limit": {tag: cfg}}), rescaling)
 
 
 def finite_t_bulk_study(c: float, sizes, grid=None) -> ScalingReport:
@@ -403,17 +400,12 @@ def finite_t_bulk_study(c: float, sizes, grid=None) -> ScalingReport:
     """
     if c <= 0:
         raise ValueError(f"scaled temperature must be positive, got {c}")
-    ns = _checked_sizes(sizes)
     u = default_bulk_grid() if grid is None else np.asarray(grid, dtype=float)
     lam = solve_lambda(c)
-    target = kernel_finite_t_sine(c, lam)(u[:, None], u[None, :])
     log_lam = float(np.log(lam))
-    dists = []
-    for n in ns:
+
+    def rescaling(n):
         t = c * n * n
-        kern = finite_t_kernel("periodic", t, t * log_lam)
-        x = np.pi * u / n
-        rescaled = (np.pi / n) * kern(x[:, None], x[None, :])
-        dists.append(_sup_gap(rescaled, target))
-    return ScalingReport(sizes=tuple(ns), distances=tuple(dists),
-                         fitted_rate=_fit_rate(ns, dists))
+        return finite_t_kernel("periodic", t, t * log_lam), np.pi * u / n, np.pi / n
+
+    return _scaling_study(sizes, u, kernel_finite_t_sine(c, lam), rescaling)

@@ -15,13 +15,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (bulk_scaling_study, edge_scaling_study,
+from .analysis import (bin_average, bulk_scaling_study, edge_scaling_study,
                        estimate_pair_correlation, finite_t_bulk_study)
 from .baselines import compare_to_baseline, edge_key, study_key
 from .boundary import BoundaryMatrix, make_preset
@@ -222,12 +221,6 @@ def _parse_spec(text: str) -> dict:
     return obj
 
 
-def _cap_threads(n: int) -> None:
-    # advisory: the BLAS pools read these when they spin up
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -300,9 +293,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     rng = make_rng(RngSpec(args.seed))
     if args.kind in ("haar-u", "haar-so"):
         group = "U" if args.kind == "haar-u" else "SO"
-        if args.group is not None and args.group.upper() != group:
-            raise UsageError(f"--kind {args.kind} samples group {group}, "
-                             f"not {args.group}")
         if args.n is None:
             raise UsageError("--n (matrix size) is required for Haar kinds")
         draws = list(haar_eigenangles(group, args.n, args.samples, rng))
@@ -451,11 +441,7 @@ def _figure_two_point(args: argparse.Namespace) -> None:
     def pair_density(kernel, s):
         return 1.0 - np.asarray(kernel(s, np.zeros_like(s))) ** 2
 
-    # bin-average the reference over each dot's cell; the contact dip is
-    # too curved for a midpoint value
-    fine = np.linspace(0.0, s_max, 8 * bins + 1)
-    cell = pair_density(fts, 0.5 * (fine[:-1] + fine[1:]))
-    reference = np.mean(cell.reshape(bins, 8), axis=1)
+    reference = bin_average(lambda s: pair_density(fts, s), 0.0, s_max, bins)
 
     rows = [("empirical", s, v, e, r)
             for s, v, e, r in zip(s_dots, emp, err, reference)]
@@ -504,8 +490,6 @@ def _common() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--seed", type=int, default=0,
                    help="PRNG seed, unsigned 64-bit (default 0)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap the BLAS/OpenMP pools (advisory)")
     p.add_argument("--format", choices=("csv", "json"), default=None,
                    help="output format (default depends on the subcommand)")
     p.add_argument("--out", default=None,
@@ -563,8 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("dpp", "gc", "haar-u", "haar-so"))
     p.add_argument("--bc", default=None,
                    help="boundary condition (dpp and gc kinds)")
-    p.add_argument("--group", default=None,
-                   help="redundant group check for the Haar kinds")
     p.add_argument("--n", type=int, default=None,
                    help="mode count (dpp) or matrix size (Haar)")
     p.add_argument("--t", type=_finite_float, default=None, help="temperature (gc)")
@@ -650,11 +632,6 @@ def run(argv=None) -> int:
         print("usage error: seed must fit in 64 unsigned bits",
               file=sys.stderr)
         return EXIT_USAGE
-    if args.threads is not None:
-        if args.threads < 1:
-            print("usage error: threads must be positive", file=sys.stderr)
-            return EXIT_USAGE
-        _cap_threads(args.threads)
     try:
         return args.handler(args)
     except UsageError as err:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import qr as pivoted_qr
 
+from .analysis import _pair_estimate, bin_average, estimate_density
 from .kernels import finite_t_kernel, finite_t_modes
 from .sampling import make_rng, sample_grand_canonical_many
 from .thermo import fermi_factor
@@ -276,10 +277,13 @@ def km_mcmc(family: str, t: float, n: int, steps: int, rng,
 
 @dataclass(frozen=True)
 class MixtureReport:
-    """Comparison of sampled grand-canonical statistics with kernel predictions.
+    """Sampled grand-canonical statistics against the gas's own kernel.
 
-    z-scores use the Gaussian approximation to binned counts with Poisson
-    variance.
+    ``density_z`` and ``pair_z`` are per-bin z-scores of the density and of
+    the pair density in the separation, each with the standard error of its
+    :mod:`fermibox.analysis` estimator: Poisson for the density, the spread
+    over configurations for the pairs.  ``loop_time`` = 2/T is the loop
+    time the identification predicts; it is recorded, not tested.
     """
 
     temperature: float
@@ -290,8 +294,6 @@ class MixtureReport:
     expected_count: float
     density_z: np.ndarray
     pair_z: np.ndarray
-    sup_density_err: float
-    sup_pair_err: float
     pair_fraction_above_3: float
 
     @property
@@ -301,11 +303,16 @@ class MixtureReport:
 
 def gc_mixture_check(family: str, t_temp: float, mu: float, bins: int,
                      samples: int, rng) -> MixtureReport:
-    """Sample the grand-canonical circle process and test it against its kernel.
+    """Sample the grand-canonical circle gas and test it against its kernel.
 
-    The Bernoulli-mode construction is taken as the operative definition of
-    the ensemble; predictions come from the finite-temperature kernel.  The
-    loop-time identification t = 2/T is recorded in the report.
+    Draws come from the Bernoulli-mode sampler; the predictions are the
+    same gas's finite-temperature kernel: the flat density n/2pi and the
+    bin-averaged pair density (n/2pi)^2 - K(s, 0)^2.  The loop time 2/T of
+    the identification is recorded, not tested: no loop configuration is
+    drawn, so the gas is never compared with the loop ensemble.  Both
+    estimates come from :func:`~fermibox.analysis.estimate_density`
+    and the separation form of the pair estimator, whose errors come from
+    the spread over configurations; ``samples`` must be at least 100.
     """
     if family != "A":
         raise ValueError("the mixture identification holds on the circle (family A)")
@@ -316,45 +323,24 @@ def gc_mixture_check(family: str, t_temp: float, mu: float, bins: int,
     occ = fermi_factor(fam.energies, t_temp, mu)
     n_bar = float(np.sum(occ))
     draws = sample_grand_canonical_many(fam, t_temp, mu, samples, rng)
-    counts = np.array([len(d) for d in draws], dtype=float)
 
-    edges = np.linspace(0.0, TWO_PI, bins + 1)
-    width = edges[1] - edges[0]
-
-    all_pts = np.concatenate([d for d in draws if len(d)]) if np.any(counts) else np.empty(0)
-    hist1 = np.histogram(all_pts, bins=edges)[0].astype(float)
     dens = n_bar / TWO_PI
-    expect1 = samples * dens * width
-    density_z = (hist1 - expect1) / np.sqrt(max(expect1, 1.0))
-
-    seps = []
-    for d in draws:
-        if len(d) < 2:
-            continue
-        diff = np.mod(d[:, None] - d[None, :], TWO_PI)
-        seps.append(diff[~np.eye(len(d), dtype=bool)])
-    seps = np.concatenate(seps) if seps else np.empty(0)
-    hist2 = np.histogram(seps, bins=edges)[0].astype(float)
+    density = estimate_density(draws, bins)
+    pair = _pair_estimate(draws, bins, (0.0, TWO_PI), reduced=True)
     kappa = finite_t_kernel("periodic", t_temp, mu)
-    # bin-averaged pair density: the repulsion dip near zero separation is
-    # too curved for a midpoint value
-    fine = np.linspace(0.0, TWO_PI, 16 * bins + 1)
-    rho_fine = dens**2 - np.asarray(kappa(fine, np.zeros_like(fine))) ** 2
-    cell = 0.5 * (rho_fine[:-1] + rho_fine[1:])
-    rho2 = np.mean(cell.reshape(bins, 16), axis=1)
-    expect2 = samples * TWO_PI * rho2 * width
-    pair_z = (hist2 - expect2) / np.sqrt(np.maximum(expect2, 1.0))
+    rho2 = bin_average(lambda s: dens**2 - np.asarray(kappa(s, np.zeros_like(s))) ** 2,
+                       0.0, TWO_PI, bins)
+    density_z = (density.values - dens) / density.stderr
+    pair_z = (pair.values - rho2) / pair.stderr
 
     return MixtureReport(
         temperature=t_temp,
         mu=mu,
         loop_time=2.0 / t_temp,
         samples=samples,
-        mean_count=float(np.mean(counts)),
+        mean_count=float(np.mean([len(d) for d in draws])),
         expected_count=n_bar,
         density_z=density_z,
         pair_z=pair_z,
-        sup_density_err=float(np.max(np.abs(hist1 / (samples * width) - dens))),
-        sup_pair_err=float(np.max(np.abs(hist2 / (samples * TWO_PI * width) - rho2))),
         pair_fraction_above_3=float(np.mean(np.abs(pair_z) > 3.0)),
     )

@@ -100,7 +100,6 @@ class Kernel:
 
     fn: Callable
     spec: dict | None = None
-    domain: tuple[float, float] | None = None
 
     def __call__(self, x, y):
         return self.fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -127,12 +126,10 @@ def group_kernel(group: str, n: int) -> Kernel:
         raise ValueError(f"matrix size must be positive, got {n}")
     if group == "U":
         fn = lambda x, y: sn_ratio(n, x - y)
-        dom = (0.0, TWO_PI)
     elif group == "Sp":
         if n % 2:
             raise ValueError("symplectic groups have even matrix size")
         fn = lambda x, y: sn_ratio(n + 1, x - y) - sn_ratio(n + 1, x + y)
-        dom = (0.0, np.pi)
     elif group == "SO":
         if n % 2 == 0:
             if n < 2:
@@ -140,10 +137,9 @@ def group_kernel(group: str, n: int) -> Kernel:
             fn = lambda x, y: sn_ratio(n - 1, x - y) + sn_ratio(n - 1, x + y)
         else:
             fn = lambda x, y: sn_ratio(n - 1, x - y) - sn_ratio(n - 1, x + y)
-        dom = (0.0, np.pi)
     else:
         raise ValueError(f"unknown group {group!r}; use U, Sp or SO")
-    return Kernel(fn=fn, spec={"Group": {"G": group, "N": n}}, domain=dom)
+    return Kernel(fn=fn, spec={"Group": {"G": group, "N": n}})
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +299,7 @@ def _kernel_from_modes(family: ModeFamily, weights, spec: dict | None) -> Kernel
             return vals.real
         return vals
 
-    return Kernel(fn=fn, spec=spec, domain=(0.0, TWO_PI))
+    return Kernel(fn=fn, spec=spec)
 
 
 def ground_state_kernel(source, n: int) -> Kernel:

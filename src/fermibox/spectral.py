@@ -360,17 +360,19 @@ def _roots(u: np.ndarray, sector: str, x_hi: float, alpha: float):
 def _kappa_ceiling(bc: BoundaryMatrix) -> float:
     """Scan ceiling for bound states: 2x the largest plausible coupling.
 
-    For labeled presets the coupling is read off the parameters.  For raw
-    matrices it is estimated from the Cayley transform of the eigenphases,
-    clipped at 64 (a bound state needs an attractive coupling of that order
-    to push kappa anywhere near the clip).
+    For labeled presets the coupling is read off the parameters; only an
+    attractive one (tan(alpha/2) < 0 for Robin walls, c < 0 for the delta)
+    can bind, so a repulsive one gets the floor of 2.  For raw matrices it
+    is estimated from the Cayley transform of the eigenphases, clipped at 64
+    (a bound state needs an attractive coupling of that order to push kappa
+    anywhere near the clip).
     """
     if bc.label in ("dirichlet", "neumann", "zaremba", "periodic", "pseudo_periodic"):
         return 2.0
     if bc.label in ("robin", "dirichlet_robin"):
-        return 2.0 * max(1.0, abs(np.tan(bc.params[0] / 2.0)))
+        return 2.0 * max(1.0, -np.tan(bc.params[0] / 2.0))
     if bc.label == "delta":
-        return 2.0 * max(1.0, abs(bc.params[0]))
+        return 2.0 * max(1.0, -bc.params[0])
     phases = np.angle(np.linalg.eigvals(bc.matrix))
     couplings = np.abs(np.tan(phases / 2.0))
     couplings = couplings[np.isfinite(couplings)]

@@ -138,6 +138,13 @@ def test_exit_codes_usage_numerical_baseline():
         (["spectrum", "--bc", "dirichlet", "--count", "100000"], 1),
         (["sample", "--kind", "gc", "--bc", "robin:1", "--t", "1e12",
           "--mu", "1"], 1),
+        # repulsive couplings cannot bind: no bound-state scan to the guard
+        (["spectrum", "--bc", "robin:3.14159", "--count", "3"], 0),
+        (["spectrum", "--bc", "dirichlet_robin:3.14159", "--count", "3"], 0),
+        (["spectrum", "--bc", "delta:50000", "--count", "3"], 0),
+        # removed flags
+        (["spectrum", "--bc", "dirichlet", "--count", "2", "--threads", "2"], 1),
+        (["sample", "--kind", "haar-u", "--n", "3", "--group", "U"], 1),
     ]
     for argv, want in cases:
         code, _, err = run_cli(argv)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fermibox import analysis as an
 from fermibox import heatflow as hf
-from fermibox.sampling import RngSpec
+from fermibox.kernels import finite_t_kernel, finite_t_modes
+from fermibox.sampling import RngSpec, sample_grand_canonical_many
 from fermibox.thermo import solve_mu
 
 RNG = np.random.default_rng(615)
@@ -278,3 +280,22 @@ def test_gc_mixture_check_small_run():
     assert rep.pair_fraction_above_3 <= 1.0 / 24.0 + 1e-9
     with pytest.raises(ValueError):
         hf.gc_mixture_check("B", 1.0, mu, 24, 10, RngSpec(0))
+
+
+def test_gc_mixture_check_uses_the_analysis_estimators():
+    t, bins, samples = 1.0, 24, 1000
+    ks = np.arange(-12, 13)
+    mu = solve_mu(ks.astype(float) ** 2, t, 7.0)
+    rep = hf.gc_mixture_check("A", t, mu, bins, samples, RngSpec(31))
+    fam = finite_t_modes("periodic", t, mu)
+    draws = sample_grand_canonical_many(fam, t, mu, samples, RngSpec(31))
+    dens = rep.expected_count / TWO_PI
+    density = an.estimate_density(draws, bins)
+    pair = an.estimate_pair_correlation(draws, bins, reduced=True)
+    kern = finite_t_kernel("periodic", t, mu)
+    rho2 = an.bin_average(lambda s: dens**2 - kern(s, np.zeros_like(s)) ** 2,
+                          0.0, TWO_PI, bins)
+    assert_allclose(rep.density_z, (density.values - dens) / density.stderr,
+                    rtol=0, atol=1e-12)
+    assert_allclose(rep.pair_z, (pair.values - rho2) / pair.stderr,
+                    rtol=0, atol=1e-12)

@@ -160,6 +160,15 @@ class TestBoundStates:
         sp = solve("robin", np.pi / 2, count=8)
         assert np.all(sp.energies > 0)
 
+    @pytest.mark.parametrize("name,param", [
+        ("robin", 3.14159), ("dirichlet_robin", 3.14159), ("delta", 50000.0)])
+    def test_huge_repulsive_couplings_solve(self, name, param):
+        # a coupling that cannot bind scans no bound states
+        sp = solve(name, param, count=3)
+        for mode in sp.modes:
+            assert mode.kind == "trig"
+            assert fb.boundary_residual(sp.bc, fs.mode_boundary_data(mode)) <= 1e-8
+
 
 class TestDirichletRobin:
     def test_secular_relation_and_normalization(self):
