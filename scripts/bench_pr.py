@@ -4,7 +4,7 @@ Usage (from anywhere in the repository):
 
     python3 scripts/bench_pr.py --base REV --out PATH [--pairs N]
 
-REV is exported with ``git archive`` into a temporary directory.  Pair
+REV is checked out with ``git worktree`` into a temporary directory.  Pair
 i (seed i + 1, the same on both sides) runs ``benchmarks/run.py --trace 0
 --seconds 30`` for every workload in both trees, the base first on even
 pairs and the working tree first on odd ones, so drift of the machine's
@@ -28,14 +28,6 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECONDS = 30
-
-
-def export_tree(rev: str, dest: str) -> None:
-    """Write the files of revision `rev` into the new directory `dest`."""
-    os.makedirs(dest)
-    archive = subprocess.run(["git", "-C", ROOT, "archive", rev], check=True,
-                             capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
 def bench(tree: str, workload: str, seed: int) -> tuple[dict, dict]:
@@ -87,21 +79,26 @@ def main() -> int:
     provenance = {}
     with tempfile.TemporaryDirectory() as tmp:
         base = os.path.join(tmp, "base")
-        export_tree(base_commit, base)
-        for i in range(args.pairs):
-            seed = i + 1
-            order = (("base", base), ("head", ROOT))[:: 1 if i % 2 == 0 else -1]
-            for workload in workloads:
-                run = {"seed": seed, "first": order[0][0]}
-                for side, tree in order:
-                    prov, run[side] = bench(tree, workload, seed)
-                    provenance.setdefault(side, {k: prov[k] for k in (
-                        "src_sha256", "python", "numpy", "scipy", "mpmath",
-                        "openblas", "nproc", "affinity", "machine", "child_threads_env")})
-                    gm = run[side]["metrics"]["job_s_gm"]["value"]
-                    print(f"pair {i} {workload} {side}: correct={run[side]['correct']} "
-                          f"job_s_gm={gm:.4f}", flush=True)
-                runs[workload].append(run)
+        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach", "--quiet",
+                        base, base_commit], check=True)
+        try:
+            for i in range(args.pairs):
+                seed = i + 1
+                order = (("base", base), ("head", ROOT))[:: 1 if i % 2 == 0 else -1]
+                for workload in workloads:
+                    run = {"seed": seed, "first": order[0][0]}
+                    for side, tree in order:
+                        prov, run[side] = bench(tree, workload, seed)
+                        provenance.setdefault(side, {k: prov[k] for k in (
+                            "src_sha256", "python", "numpy", "scipy", "mpmath",
+                            "openblas", "nproc", "affinity", "machine", "child_threads_env")})
+                        gm = run[side]["metrics"]["job_s_gm"]["value"]
+                        print(f"pair {i} {workload} {side}: correct={run[side]['correct']} "
+                              f"job_s_gm={gm:.4f}", flush=True)
+                    runs[workload].append(run)
+        finally:
+            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", base],
+                           check=True)
 
     provenance["base"]["git_commit"] = base_commit
     report = {"base": args.base, "pairs": args.pairs, "seconds": SECONDS, "trace": 0,

@@ -4,7 +4,7 @@ Usage (from anywhere in the repository):
 
     python3 scripts/same_outputs.py --base REV [--workload W] [--seed N]
 
-REV is exported with ``git archive`` into a temporary directory.  Every
+REV is checked out with ``git worktree`` into a temporary directory.  Every
 job of the benchmark workload W (``benchmarks/jobs.build_jobs(W, N)``; all
 three workloads when W is not given) then runs once in each tree, as
 ``fermibox.cli.run(argv)`` in a fresh interpreter with single-thread BLAS
@@ -31,7 +31,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
 
 from jobs import WORKLOADS, build_jobs  # noqa: E402
-from bench_pr import export_tree  # noqa: E402
 
 CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); "
          "from fermibox.cli import run; sys.exit(run(sys.argv[2:]))")
@@ -77,20 +76,25 @@ def main() -> int:
     mismatches = data_mismatches = 0
     with tempfile.TemporaryDirectory() as tmp:
         base = os.path.join(tmp, "base")
-        export_tree(args.base, base)
-        for workload in workloads:
-            for job in build_jobs(workload, args.seed):
-                argv = job.command(os.path.join(tmp, "out"))
-                old = run_job(base, argv, argv[-1])
-                new = run_job(ROOT, argv, argv[-1])
-                same = old == new
-                same_data = (old[0], old[2]) == (new[0], new[2])
-                mismatches += not same
-                data_mismatches += not same_data
-                label = "same" if same else "same data" if same_data else "DIFF"
-                print(f"{label} {workload}/{job.name}: "
-                      f"base exit {old[0]} {old[1]} data {old[2]}, "
-                      f"head exit {new[0]} {new[1]} data {new[2]}", flush=True)
+        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach", "--quiet",
+                        base, args.base], check=True)
+        try:
+            for workload in workloads:
+                for job in build_jobs(workload, args.seed):
+                    argv = job.command(os.path.join(tmp, "out"))
+                    old = run_job(base, argv, argv[-1])
+                    new = run_job(ROOT, argv, argv[-1])
+                    same = old == new
+                    same_data = (old[0], old[2]) == (new[0], new[2])
+                    mismatches += not same
+                    data_mismatches += not same_data
+                    label = "same" if same else "same data" if same_data else "DIFF"
+                    print(f"{label} {workload}/{job.name}: "
+                          f"base exit {old[0]} {old[1]} data {old[2]}, "
+                          f"head exit {new[0]} {new[1]} data {new[2]}", flush=True)
+        finally:
+            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", base],
+                           check=True)
     print(f"{mismatches} job(s) differ, {data_mismatches} in their data")
     return 1 if mismatches else 0
 

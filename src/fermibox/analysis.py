@@ -179,14 +179,14 @@ def _pair_estimate(configs, bins, support: tuple[float, float],
                                values=values, stderr=stderr, n_samples=m)
 
 
-def bin_average(f, lo: float, hi: float, bins: int, sub: int = 8) -> np.ndarray:
-    """Mean of f over `sub` midpoints in each of `bins` equal bins of [lo, hi].
+def bin_average(f, lo: float, hi: float, bins: int) -> np.ndarray:
+    """Mean of f over 8 midpoints in each of `bins` equal bins of [lo, hi].
 
     The reference curve for a binned estimate: near contact the pair
     density is too curved for one midpoint value per bin.
     """
-    fine = np.linspace(lo, hi, sub * bins + 1)
-    return np.mean(np.asarray(f(0.5 * (fine[:-1] + fine[1:]))).reshape(bins, sub), axis=1)
+    fine = np.linspace(lo, hi, 8 * bins + 1)
+    return np.mean(np.asarray(f(0.5 * (fine[:-1] + fine[1:]))).reshape(bins, 8), axis=1)
 
 
 # ---------------------------------------------------------------------------

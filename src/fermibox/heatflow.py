@@ -301,6 +301,14 @@ class MixtureReport:
         return self.pair_fraction_above_3 < 0.01
 
 
+def _z_scores(estimate, reference) -> np.ndarray:
+    """Per-bin z-scores; a bin with zero standard error has none, so it is refused."""
+    if np.any(estimate.stderr == 0):
+        raise ValueError("a bin has zero standard error: too many bins for "
+                         f"{estimate.n_samples} draws")
+    return (estimate.values - reference) / estimate.stderr
+
+
 def gc_mixture_check(family: str, t_temp: float, mu: float, bins: int,
                      samples: int, rng) -> MixtureReport:
     """Sample the grand-canonical circle gas and test it against its kernel.
@@ -312,13 +320,11 @@ def gc_mixture_check(family: str, t_temp: float, mu: float, bins: int,
     drawn, so the gas is never compared with the loop ensemble.  Both
     estimates come from :func:`~fermibox.analysis.estimate_density`
     and the separation form of the pair estimator, whose errors come from
-    the spread over configurations; ``samples`` must be at least 100.
+    the spread over configurations; ``samples`` must be at least 100, and
+    ``bins`` few enough that no bin has a zero standard error.
     """
     if family != "A":
         raise ValueError("the mixture identification holds on the circle (family A)")
-    if bins < 4:
-        raise ValueError("need at least 4 bins")
-    rng = make_rng(rng)
     fam = finite_t_modes("periodic", t_temp, mu)
     occ = fermi_factor(fam.energies, t_temp, mu)
     n_bar = float(np.sum(occ))
@@ -330,8 +336,8 @@ def gc_mixture_check(family: str, t_temp: float, mu: float, bins: int,
     kappa = finite_t_kernel("periodic", t_temp, mu)
     rho2 = bin_average(lambda s: dens**2 - np.asarray(kappa(s, np.zeros_like(s))) ** 2,
                        0.0, TWO_PI, bins)
-    density_z = (density.values - dens) / density.stderr
-    pair_z = (pair.values - rho2) / pair.stderr
+    density_z = _z_scores(density, dens)
+    pair_z = _z_scores(pair, rho2)
 
     return MixtureReport(
         temperature=t_temp,

@@ -299,3 +299,14 @@ def test_gc_mixture_check_uses_the_analysis_estimators():
                     rtol=0, atol=1e-12)
     assert_allclose(rep.pair_z, (pair.values - rho2) / pair.stderr,
                     rtol=0, atol=1e-12)
+
+
+def test_gc_mixture_check_refuses_bins_with_zero_stderr():
+    # About 7 points a draw spread over 400 bins: some density and separation
+    # bins stay empty in all 100 draws, so they have no z-score.
+    ks = np.arange(-12, 13)
+    mu = solve_mu(ks.astype(float) ** 2, 1.0, 7.0)
+    with pytest.raises(ValueError, match="zero standard error"):
+        hf.gc_mixture_check("A", 1.0, mu, 400, 100, RngSpec(1))
+    rep = hf.gc_mixture_check("A", 1.0, mu, 24, 100, RngSpec(1))
+    assert np.all(np.isfinite(rep.density_z)) and np.all(np.isfinite(rep.pair_z))
