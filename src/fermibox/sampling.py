@@ -35,6 +35,8 @@ TWO_PI = 2.0 * np.pi
 
 BATCH_CAP = 2048    # proposals evaluated at once: memory O(modes x BATCH_CAP)
 STEP_BUDGET = 64    # proposals one step may examine, in expected counts
+CHUNK_ENTRIES = 2 ** 14  # Haar matrix entries drawn at once: bounds peak memory
+CAYLEY_MAX = 1e3    # largest |tan(angle / 2)| a Cayley pass of a Haar draw accepts
 
 
 class SamplerError(RuntimeError):
@@ -209,65 +211,73 @@ def sample_grand_canonical_many(family: ModeFamily, t: float, mu: float,
 
 
 # ---------------------------------------------------------------------------
-# Haar measures
+# Haar measures (Mezzadri, Notices AMS 2007)
+
+
+def _haar_stack(group: str, n: int, count: int, rng) -> np.ndarray:
+    """`count` Haar matrices of U(n) or SO(n), using `rng` as `count` single
+    draws do.  SO draws of det -1 are carried to SO(n) by a fixed reflection."""
+    if group == "U":
+        g = rng.standard_normal((count, 2, n, n))
+        q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
+        d = np.diagonal(r, axis1=1, axis2=2)[:, None, :]
+        return q * (d / np.abs(d))
+    q, r = np.linalg.qr(rng.standard_normal((count, n, n)))
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    q[:, :, 0] *= np.sign(np.linalg.det(q))[:, None]
+    return q
 
 
 def haar_unitary(n: int, rng) -> np.ndarray:
     """Haar-distributed U(n) via complex Gaussian QR with phase correction."""
-    rng = make_rng(rng)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar_stack("U", n, 1, make_rng(rng))[0]
 
 
 def haar_special_orthogonal(n: int, rng) -> np.ndarray:
-    """Haar-distributed SO(n): real Gaussian QR with sign correction.
-
-    A draw with det -1 has its first column negated: right-multiplying by a
-    fixed reflection carries Haar measure on the det -1 half of O(n) onto
-    SO(n), so no draw is thrown away.
-    """
-    rng = make_rng(rng)
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    q = q * np.sign(np.diagonal(r))
-    q[:, 0] *= np.sign(np.linalg.det(q))
-    return q
+    """Haar-distributed SO(n): real Gaussian QR with sign correction."""
+    return _haar_stack("SO", n, 1, make_rng(rng))[0]
 
 
-def _unitary_angles(m: np.ndarray) -> np.ndarray:
-    return np.sort(np.mod(np.angle(np.linalg.eigvals(m)), TWO_PI))
+def _tan_half_angles(v: np.ndarray) -> np.ndarray:
+    """tan(a / 2) for the eigenangles a of a stack of unitaries V: eigenvalues
+    of the Cayley transforms i(I - V)(I + V)^-1, made exactly Hermitian."""
+    eye = np.eye(v.shape[-1])
+    try:
+        h = 1j * np.linalg.solve(eye + v, eye - v)
+        return np.linalg.eigvalsh(0.5 * (h + np.conj(np.swapaxes(h, 1, 2))))
+    except np.linalg.LinAlgError:       # some I + V is exactly singular
+        return np.tan(0.5 * np.angle(np.linalg.eigvals(v)))
 
 
-def _so_angles(m: np.ndarray, n: int) -> np.ndarray | None:
-    lam = np.linalg.eigvals(m)
-    sel = lam[lam.imag > 1e-12]
-    if len(sel) != n // 2:
-        return None
-    return np.sort(np.angle(sel))
+def _eigenangles(u: np.ndarray) -> np.ndarray:
+    """Sorted eigenangles on [0, 2pi) of a stack of unitaries.  A matrix with an
+    eigenvalue near -1 is solved again, rotated to put its widest gap at -1."""
+    w = _tan_half_angles(u)
+    theta = 2.0 * np.arctan(w)
+    redo = ~(np.max(np.abs(w), axis=1) <= CAYLEY_MAX)
+    if redo.any():
+        rough = np.sort(np.mod(theta[redo], TWO_PI), axis=1)
+        gaps = np.diff(rough, axis=1, append=rough[:, :1] + TWO_PI)
+        k = np.argmax(gaps, axis=1)[:, None]
+        phi = np.take_along_axis(rough + 0.5 * gaps, k, axis=1) - np.pi
+        theta[redo] = 2.0 * np.arctan(_tan_half_angles(u[redo] * np.exp(-1j * phi)[:, :, None])) + phi
+    theta = np.mod(theta, TWO_PI)
+    theta[theta == TWO_PI] = 0.0    # mod rounds angles just below 0 up to 2pi
+    return np.sort(theta, axis=1)
 
 
 def haar_eigenangles(group: str, n: int, count: int, rng) -> np.ndarray:
-    """Sorted eigenangle configurations of `count` Haar matrices.
-
-    U(n) gives n angles on [0, 2pi); SO(n) gives its n//2 free angles on
-    (0, pi), the fixed +-1 eigenvalues dropped.  A draw whose spectrum lands
-    too close to the real axis for the pairing to resolve is redrawn once.
-    """
+    """Sorted eigenangles of `count` Haar matrices, drawn CHUNK_ENTRIES entries at
+    a time: n on [0, 2pi) for U(n); for SO(n) the n//2 largest on (-pi, pi], so
+    no fixed +1 and one angle per conjugate pair.  Within 1e-10 of `eigvals`."""
+    if group not in ("U", "SO") or n < 1:
+        raise ValueError(f"no eigenangle sampler for group {group!r} of size {n}")
     rng = make_rng(rng)
+    chunk = max(1, CHUNK_ENTRIES // (n * n))
+    out = np.empty((count, n))
+    for start in range(0, count, chunk):
+        m = _haar_stack(group, n, min(chunk, count - start), rng)
+        out[start:start + len(m)] = _eigenangles(m)
     if group == "U":
-        out = np.empty((count, n))
-        for i in range(count):
-            out[i] = _unitary_angles(haar_unitary(n, rng))
         return out
-    if group == "SO":
-        out = np.empty((count, n // 2))
-        for i in range(count):
-            angles = _so_angles(haar_special_orthogonal(n, rng), n)
-            if angles is None:
-                angles = _so_angles(haar_special_orthogonal(n, rng), n)
-            if angles is None:
-                raise SamplerError("eigenvalue pairing failed twice in a row")
-            out[i] = angles
-        return out
-    raise ValueError(f"no eigenangle sampler for group {group!r}")
+    return np.sort(np.where(out > np.pi, out - TWO_PI, out), axis=1)[:, n - n // 2:]

@@ -259,3 +259,89 @@ def test_haar_eigenangles_shapes():
     assert b.shape == (2, 4)
     with pytest.raises(ValueError):
         sp.haar_eigenangles("Sp", 4, 1, sp.RngSpec(0))
+
+
+def _circle_distance(a, b):
+    """Largest angle difference between two multisets of angles, matched on
+    the circle: both sorted mod 2pi, the best cyclic shift of one."""
+    a, b = np.sort(np.mod(a, TWO_PI)), np.sort(np.mod(b, TWO_PI))
+    return min(np.max(np.abs(np.angle(np.exp(1j * (a - np.roll(b, s))))))
+               for s in range(len(a)))
+
+
+def test_haar_angles_fold_two_pi_to_zero():
+    # np.mod(-1e-17, 2pi) rounds to exactly 2pi, outside [0, 2pi)
+    assert np.mod(-1e-17, TWO_PI) == TWO_PI
+    u = np.full((1, 1, 1), np.exp(-1e-17j))
+    assert sp._eigenangles(u)[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("group, n, count", [("U", 7, 1000), ("SO", 3, 2000),
+                                             ("SO", 8, 300), ("U", 100, 3)])
+def test_haar_chunked_draws_keep_the_stream(seed, group, n, count):
+    single = sp.haar_unitary if group == "U" else sp.haar_special_orthogonal
+    chunk = max(1, sp.CHUNK_ENTRIES // (n * n))
+    assert count % chunk != 0 or chunk == 1
+    rng, loop_rng = sp.make_rng(sp.RngSpec(seed)), sp.make_rng(sp.RngSpec(seed))
+    stack = np.concatenate([sp._haar_stack(group, n, min(chunk, count - s), rng)
+                            for s in range(0, count, chunk)])
+    loop = np.array([single(n, loop_rng) for _ in range(count)])
+    assert np.array_equal(stack, loop)
+    assert rng.standard_normal() == loop_rng.standard_normal()
+    # and a chunk's angles are those of its matrices solved one at a time
+    rng = sp.make_rng(sp.RngSpec(seed))
+    one_by_one = [sp.haar_eigenangles(group, n, 1, rng)[0] for _ in range(count)]
+    assert np.array_equal(sp.haar_eigenangles(group, n, count, sp.RngSpec(seed)),
+                          np.array(one_by_one))
+
+
+@pytest.mark.parametrize("group, n", [("U", 1), ("U", 2), ("U", 7), ("U", 100),
+                                      ("SO", 2), ("SO", 3), ("SO", 7), ("SO", 8)])
+def test_haar_eigenangles_match_eigvals(group, n):
+    count = 20 if n == 100 else 300
+    single = sp.haar_unitary if group == "U" else sp.haar_special_orthogonal
+    rng = sp.make_rng(sp.RngSpec(31))
+    angles = sp.haar_eigenangles(group, n, count, sp.RngSpec(31))
+    for row in angles:
+        lam = np.linalg.eigvals(single(n, rng))
+        ref = np.angle(lam) if group == "U" else np.angle(lam[lam.imag > 1e-9])
+        assert _circle_distance(row, ref) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 7, 100])
+@pytest.mark.parametrize("gap", [1e-8, 1e-12, 0.0])
+def test_haar_eigenangles_near_minus_one(monkeypatch, n, gap):
+    rng = sp.make_rng(sp.RngSpec(41))
+    exact = rng.uniform(0.0, TWO_PI, n)
+    exact[0] = np.pi - gap
+    q = sp.haar_unitary(n, rng)
+    u = (q * np.exp(1j * exact)) @ q.conj().T
+    monkeypatch.setattr(sp, "_haar_stack", lambda group, n, count, rng: u[None])
+    assert _circle_distance(sp.haar_eigenangles("U", n, 1, 0)[0], exact) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_haar_eigenangles_of_minus_identity(n):
+    # I + U is exactly singular
+    angles = sp._eigenangles(-np.eye(n, dtype=complex)[None])
+    assert_allclose(angles, np.pi, rtol=0, atol=1e-14)
+
+
+def test_haar_so_eigenangles_with_a_pair_near_minus_one(monkeypatch):
+    exact = np.array([np.pi - 1e-8, 0.4, 2.0])
+    rot = np.zeros((7, 7))
+    rot[6, 6] = 1.0
+    for k, t in enumerate(exact):
+        rot[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]
+    q = sp.haar_special_orthogonal(7, sp.RngSpec(43))
+    m = q @ rot @ q.T
+    monkeypatch.setattr(sp, "_haar_stack", lambda group, n, count, rng: m[None])
+    got = sp.haar_eigenangles("SO", 7, 1, 0)[0]
+    assert_allclose(got, np.sort(exact), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("group", ["U", "SO"])
+def test_haar_eigenangles_refuse_empty_matrices(group):
+    with pytest.raises(ValueError):
+        sp.haar_eigenangles(group, 0, 1, sp.RngSpec(0))
