@@ -4,7 +4,7 @@ Usage (from anywhere in the repository):
 
     python3 scripts/same_outputs.py --base REV [--workload W] [--seed N]
 
-REV is checked out with ``git worktree`` into a temporary directory.  Every
+REV is exported with ``git archive`` into a temporary directory.  Every
 job of the benchmark workload W (``benchmarks/jobs.build_jobs(W, N)``; all
 three workloads when W is not given) then runs once in each tree, as
 ``fermibox.cli.run(argv)`` in a fresh interpreter with single-thread BLAS
@@ -13,8 +13,11 @@ configuration.  Each job's exit code, output sha256 and data sha256 are
 printed for both trees.  The data sha256 drops the config header first:
 the ``# config:`` and ``# config_hash:`` lines of a CSV file, the
 ``config`` and ``config_hash`` keys of a JSON one.  So a change that only
-adds or removes flags shows the same data.  The exit status is 1 if any
-job's exit code or output bytes differ, 0 otherwise.
+adds or removes flags shows the same data.  When a job's data differ, the
+largest absolute and relative difference over its numeric fields is printed
+too (relative to the larger magnitude of the pair), or why the two outputs
+cannot be compared field by field.  The exit status is 1 if any job's exit
+code or output bytes differ, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -50,18 +54,52 @@ def data_bytes(raw: bytes) -> bytes:
                    if not line.startswith(("# config:", "# config_hash:"))).encode()
 
 
-def run_job(tree: str, argv: list[str], out: str) -> tuple[int, str, str]:
-    """Exit code, output sha256 and data sha256 ("-" if no file) of one job."""
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def fields(data: bytes) -> list:
+    """The data as a flat list: numbers as floats, the text between them as text."""
+    pieces = NUMBER.split(data.decode("utf-8"))
+    return [float(p) if i % 2 else p for i, p in enumerate(pieces)]
+
+
+def largest_difference(old: bytes, new: bytes) -> str:
+    """The largest absolute and relative numeric difference between two outputs."""
+    a, b = fields(old), fields(new)
+    if len(a) != len(b):
+        return f"{len(a)} vs {len(b)} fields"
+    if a[::2] != b[::2]:
+        return "the text between the numbers differs"
+    worst_abs = worst_rel = 0.0
+    for x, y in zip(a[1::2], b[1::2]):
+        if x != y:
+            diff = abs(x - y)
+            worst_abs = max(worst_abs, diff)
+            worst_rel = max(worst_rel, diff / max(abs(x), abs(y)))
+    return f"max abs diff {worst_abs:.3g}, max rel diff {worst_rel:.3g}"
+
+
+def run_job(tree: str, argv: list[str], out: str) -> tuple[int, str, str, bytes]:
+    """Exit code, output sha256, data sha256 ("-" if no file) and data of one job."""
     if os.path.exists(out):
         os.remove(out)
     code = subprocess.run([sys.executable, "-c", CHILD, os.path.join(tree, "src"), *argv],
                           env=ENV, cwd=os.path.dirname(out),
                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
     if not os.path.exists(out):
-        return code, "-", "-"
+        return code, "-", "-", b""
     with open(out, "rb") as fh:
         raw = fh.read()
-    return code, hashlib.sha256(raw).hexdigest(), hashlib.sha256(data_bytes(raw)).hexdigest()
+    data = data_bytes(raw)
+    return code, hashlib.sha256(raw).hexdigest(), hashlib.sha256(data).hexdigest(), data
+
+
+def export(rev: str, dest: str) -> None:
+    """Write the files of revision `rev` into the new directory `dest`."""
+    os.makedirs(dest)
+    archive = subprocess.run(["git", "-C", ROOT, "archive", rev], check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
 def main() -> int:
@@ -76,25 +114,23 @@ def main() -> int:
     mismatches = data_mismatches = 0
     with tempfile.TemporaryDirectory() as tmp:
         base = os.path.join(tmp, "base")
-        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach", "--quiet",
-                        base, args.base], check=True)
-        try:
-            for workload in workloads:
-                for job in build_jobs(workload, args.seed):
-                    argv = job.command(os.path.join(tmp, "out"))
-                    old = run_job(base, argv, argv[-1])
-                    new = run_job(ROOT, argv, argv[-1])
-                    same = old == new
-                    same_data = (old[0], old[2]) == (new[0], new[2])
-                    mismatches += not same
-                    data_mismatches += not same_data
-                    label = "same" if same else "same data" if same_data else "DIFF"
-                    print(f"{label} {workload}/{job.name}: "
-                          f"base exit {old[0]} {old[1]} data {old[2]}, "
-                          f"head exit {new[0]} {new[1]} data {new[2]}", flush=True)
-        finally:
-            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", base],
-                           check=True)
+        export(args.base, base)
+        for workload in workloads:
+            for job in build_jobs(workload, args.seed):
+                argv = job.command(os.path.join(tmp, "out"))
+                old = run_job(base, argv, argv[-1])
+                new = run_job(ROOT, argv, argv[-1])
+                same = old[:3] == new[:3]
+                same_data = (old[0], old[2]) == (new[0], new[2])
+                mismatches += not same
+                data_mismatches += not same_data
+                label = "same" if same else "same data" if same_data else "DIFF"
+                detail = ""
+                if not same_data and old[3] and new[3]:
+                    detail = f"; {largest_difference(old[3], new[3])}"
+                print(f"{label} {workload}/{job.name}: "
+                      f"base exit {old[0]} {old[1]} data {old[2]}, "
+                      f"head exit {new[0]} {new[1]} data {new[2]}{detail}", flush=True)
     print(f"{mismatches} job(s) differ, {data_mismatches} in their data")
     return 1 if mismatches else 0
 

@@ -29,7 +29,6 @@ __all__ = [
 UNITARITY_TOL = 1e-10
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 

@@ -37,7 +37,7 @@ from .spectral import (NormalizationFailure, RootSearchFailure,
                        solve_spectrum)
 from .thermo import BracketFailure, fermi_factor, polylog_half, solve_lambda, solve_mu
 
-__all__ = ["RunConfig", "run", "reproduce_figure", "main"]
+__all__ = ["RunConfig", "run", "main"]
 
 TWO_PI = 2.0 * np.pi
 
@@ -78,7 +78,9 @@ class RunConfig:
 
     @property
     def hash(self) -> str:
-        text = json.dumps(self.as_dict(), sort_keys=True)
+        """Digest of the config with `out` and `format`, which do not decide
+        the result, set to null: the printed config's when neither is given."""
+        text = json.dumps({**self.as_dict(), "out": None, "format": None}, sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -459,14 +461,6 @@ def _figure_two_point(args: argparse.Namespace) -> None:
                      "curve value"))
 
 
-def reproduce_figure(which: str, seed: int = 0, samples: int = 1200,
-                     out: str | None = None) -> int:
-    """Emit the plot-ready data for one of the two showcase figures."""
-    return run(["reproduce-figure", which, "--seed", str(seed),
-                "--samples", str(samples)]
-               + (["--out", out] if out is not None else []))
-
-
 def _cmd_reproduce_figure(args: argparse.Namespace) -> int:
     if args.format == "json":
         raise UsageError("figure data is CSV only")
@@ -648,3 +642,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -11,8 +11,10 @@ arguments like numpy; `evaluate_grid` gives the outer-product matrix.
 The costly kernels are evaluated once per distinct coordinate: a mode sum
 evaluates its modes on the distinct x and the distinct y values and forms
 all their pairs in one matrix product, so its memory grows like modes times
-distinct coordinates; a limit kernel given by an integral computes it once
-per distinct x - y, x + y, or (x - y, x + y) pair.
+distinct coordinates.  The limit kernels given by integrals are closed
+forms in sinc and the exponential integral, evaluated once per distinct
+x + y, except the finite-temperature sine kernel, which has no closed form
+and takes one fixed Gauss-Legendre rule per distinct |x - y|.
 
 Single-particle modes, closed-form or solved, are rows of one array-backed
 `ModeFamily` (energy, kind code, frequency, two coefficients); `eval_matrix`
@@ -22,10 +24,9 @@ evaluates all rows of a kind in one numpy expression.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import exp1
 
 from .boundary import (
@@ -35,7 +36,7 @@ from .boundary import (
     to_json as boundary_to_json,
 )
 from .spectral import MAX_LEVELS, EigenMode, Spectrum, solve_spectrum
-from .thermo import fermi_factor
+from .thermo import _fermi_integral, fermi_factor
 
 __all__ = [
     "Kernel",
@@ -421,131 +422,82 @@ def _require_half_line(x, y) -> None:
         raise ValueError("edge-limit kernels take nonnegative coordinates")
 
 
-def _per_distinct(scalar: Callable[..., float], *args) -> np.ndarray:
-    """scalar(*args) elementwise over the broadcast args, one call per distinct tuple.
+E1_SWITCH = 2.0     # |z| above which _scaled_e1 takes the continued fraction
+E1_DEPTH = 96       # its fixed depth: within 1e-16 of e^z E1(z) from |z| = 2 on
 
-    The arguments reach `scalar` as Python floats.
+
+def _scaled_e1(z) -> np.ndarray:
+    """e^z E1(z) for Re z >= 0, elementwise, stable at any magnitude.
+
+    |z| <= E1_SWITCH goes through scipy's exp1, within 5e-15 there (its error
+    reaches 2e-13 near |z| = 5); larger |z| through the contracted continued
+    fraction 1/(z+1- 1/(z+3- 4/(z+5- 9/(...)))) of E1_DEPTH terms, bottom up.
     """
-    args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
-    keys, inv = np.unique(np.stack([a.ravel() for a in args], axis=1), axis=0,
-                          return_inverse=True)
-    vals = np.array([scalar(*key) for key in keys.tolist()], dtype=float)
-    return vals[inv.ravel()].reshape(args[0].shape)
+    z = np.asarray(z, dtype=complex)
+    out = np.empty_like(z)
+    near = np.abs(z) <= E1_SWITCH
+    out[near] = np.exp(z[near]) * exp1(z[near])
+    far = z[~near]
+    f = far + (2.0 * E1_DEPTH + 1.0)
+    for n in range(E1_DEPTH, 0, -1):
+        f = far + (2.0 * n - 1.0) - (n * n) / f
+    out[~near] = 1.0 / f
+    return out
 
 
-def _scaled_e1(z: complex) -> complex:
-    """e^z E1(z) for Re z >= 0, stable at any magnitude.
+def _robin_integral(a: float, s, u_max: float) -> np.ndarray:
+    """pi int_0^u_max (a cos(pi s u) - pi u sin(pi s u)) / (a^2 + pi^2 u^2) du, a > 0, s >= 0.
 
-    Small |z| goes through scipy's exp1; large |z| through the contracted
-    continued fraction 1/(z+1- 1/(z+3- 4/(z+5- 9/(...)))) with modified
-    Lentz evaluation.
+    In closed form Im[e^(i pi s u_max) e^z E1(z)] at z = s (a - i pi u_max),
+    once per distinct s, through the scaled exponential integral so large a s
+    stays in range; the s -> 0 limit arctan(pi u_max / a) is taken below
+    s = 1e-100, where the neglected term, at most 2 a u_max s, is rounding.
     """
-    if abs(z) <= 30.0:
-        return complex(np.exp(z) * exp1(z))
-    tiny = 1e-300
-    f = z + 1.0
-    if f == 0.0:
-        f = tiny
-    c = f
-    d = 0.0
-    for n in range(1, 300):
-        a = -(n * n)
-        b = z + (2.0 * n + 1.0)
-        d = b + a * d
-        if d == 0.0:
-            d = tiny
-        c = b + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return 1.0 / f
-
-
-def _robin_tail(c: float, s: float) -> float:
-    """2c int_0^inf e^(-c xi) sinc-form(s + xi) d xi, in closed form.
-
-    Equals (2c/pi) Im[e^(cs) E1((c - i pi) s)]; evaluated through the scaled
-    exponential integral so large c s stays in range.
-    """
-    if s < 1e-12:
-        return (2.0 * c / np.pi) * np.arctan(np.pi / c)
-    z = complex(c * s, -np.pi * s)
-    return (2.0 * c / np.pi) * (np.exp(1j * np.pi * s) * _scaled_e1(z)).imag
+    v, inv = np.unique(np.ravel(s), return_inverse=True)
+    small = v < 1e-100
+    z = np.where(small, 1.0, v) * complex(a, -np.pi * u_max)
+    val = (np.exp(1j * np.pi * v * u_max) * _scaled_e1(z)).imag
+    return np.where(small, np.arctan(np.pi * u_max / a), val)[inv].reshape(np.shape(s))
 
 
 def kernel_robin_edge(c: float) -> Kernel:
     """Edge limit of a repulsive Robin boundary, coefficient c > 0.
 
-    sine(x-y) + sine(x+y) - 2c int_0^inf sine(x+y+xi) e^(-c xi) d xi.
-    Interpolates the two hard-edge kernels: recovers the absorbing one as
-    c -> infinity and the reflecting one as c -> 0.
+    sine(x-y) + sine(x+y) - 2c int_0^inf sine(x+y+xi) e^(-c xi) d xi, which
+    is `half_line_robin_projection` at e = pi^2.  Interpolates the two
+    hard-edge kernels: recovers the absorbing one as c -> infinity and the
+    reflecting one as c -> 0.
     """
-    if c <= 0:
-        raise ValueError(f"Robin coefficient must be positive, got {c}")
-
-    def fn(x, y):
-        _require_half_line(x, y)
-        return np.sinc(x - y) + np.sinc(x + y) - _per_distinct(lambda s: _robin_tail(c, s), x + y)
-
-    return Kernel(fn=fn, spec={"Limit": {"RobinEdge": {"c": c}}})
-
-
-def _scatterer_tail(c: float, s: float, u_max: float) -> float:
-    """int_0^u_max c (2 pi u sin(pi s u) - c cos(pi s u)) / ((2 pi u)^2 + c^2) du.
-
-    Im[c e^(i pi s u) / (2 pi u + i c)] integrated over the scattering band;
-    the even modes cos(p|x| + delta(p)) carry phase shift tan(delta) = -c/2p
-    and this is their interference term with the free sine part.
-    """
-    def integrand(u: float) -> float:
-        w = TWO_PI * u
-        return c * (w * np.sin(np.pi * s * u) - c * np.cos(np.pi * s * u)) / (w * w + c * c)
-
-    val, _ = quad(integrand, 0.0, u_max, epsabs=1e-10, epsrel=1e-10, limit=200)
-    return val
+    return Kernel(fn=half_line_robin_projection(c, np.pi**2).fn,
+                  spec={"Limit": {"RobinEdge": {"c": c}}})
 
 
 def kernel_delta_edge(c: float) -> Kernel:
     """Edge limit at a point scatterer of strength c >= 0.
 
     sine(x-y) + int_0^1 c (2 pi u sin(pi(x+y)u) - c cos(pi(x+y)u)) /
-    ((2 pi u)^2 + c^2) du.  Interpolates between the plain sine kernel at
-    c = 0 (the scatterer vanishes) and the absorbing-edge kernel as
-    c -> infinity (the barrier decouples the two sides).
+    ((2 pi u)^2 + c^2) du on the half-line, which is `delta_line_projection`
+    at e = pi^2 (so |x| + |y| replaces x + y off it).  Interpolates between
+    the plain sine kernel at c = 0 (the scatterer vanishes) and the
+    absorbing-edge kernel as c -> infinity (the barrier decouples the sides).
     """
-    if c < 0:
-        raise ValueError(f"scatterer strength must be nonnegative, got {c}")
-
-    def fn(x, y):
-        return np.sinc(x - y) + _per_distinct(lambda s: _scatterer_tail(c, s, 1.0), x + y)
-
-    return Kernel(fn=fn, spec={"Limit": {"DeltaEdge": {"c": c}}})
+    return Kernel(fn=delta_line_projection(c, np.pi**2).fn,
+                  spec={"Limit": {"DeltaEdge": {"c": c}}})
 
 
 def kernel_finite_t_sine(c: float, lam: float) -> Kernel:
     """Bulk limit at finite temperature: Fermi-smoothed sine kernel.
 
     int_0^inf cos(pi (x-y) u) / (1 + exp(u^2/c)/lam) du; with lam solving the
-    density constraint at scaled temperature c the diagonal is 1.
+    density constraint at scaled temperature c the diagonal is 1.  No closed
+    form: a fixed Gauss-Legendre rule per distinct |x - y| (`_fermi_integral`).
     """
-    if c <= 0 or lam <= 0:
+    if not (c > 0 and lam > 0):
         raise ValueError("scaled temperature and fugacity must be positive")
-    u_max = float(np.sqrt(c * (36.0 + np.log1p(lam))))
-    log_lam = np.log(lam)
-
-    def one(d: float) -> float:
-        val, _ = quad(
-            lambda u: np.cos(np.pi * d * u) / (1.0 + np.exp(min(u * u / c - log_lam, 700.0))),
-            0.0, u_max, epsabs=1e-10, epsrel=1e-10, limit=200,
-        )
-        return val
+    log_lam = float(np.log(lam))
 
     def fn(x, y):
-        return _per_distinct(one, x - y)
+        return _fermi_integral(x - y, c, log_lam)
 
     return Kernel(fn=fn, spec={"Limit": {"FiniteTSine": {"c": c, "lam": lam}}})
 
@@ -556,6 +508,8 @@ def half_line_robin_projection(c: float, e: float) -> Kernel:
     int_0^(sqrt(e)/pi) [cos(pi(x-y)u) + cos(pi(x+y)u)
                         - 2c (c cos(pi(x+y)u) - pi u sin(pi(x+y)u)) / (c^2 + pi^2 u^2)] du
     for repulsive coefficient c > 0; at e = pi^2 this is the Robin edge kernel.
+    The free parts are sin(pi d U) / (pi d) at U = sqrt(e)/pi, the Robin part
+    `_robin_integral`.
     """
     if c <= 0:
         raise ValueError(f"Robin coefficient must be positive, got {c}")
@@ -563,18 +517,10 @@ def half_line_robin_projection(c: float, e: float) -> Kernel:
         raise ValueError(f"energy cut must be nonnegative, got {e}")
     u_max = np.sqrt(e) / np.pi
 
-    def one(d: float, s: float) -> float:
-        def integrand(u: float) -> float:
-            denom = c * c + np.pi * np.pi * u * u
-            robin = 2.0 * c * (c * np.cos(np.pi * s * u) - np.pi * u * np.sin(np.pi * s * u)) / denom
-            return np.cos(np.pi * d * u) + np.cos(np.pi * s * u) - robin
-
-        val, _ = quad(integrand, 0.0, u_max, epsabs=1e-10, epsrel=1e-10, limit=200)
-        return val
-
     def fn(x, y):
         _require_half_line(x, y)
-        return _per_distinct(one, x - y, x + y)
+        return (u_max * np.sinc(u_max * (x - y)) + u_max * np.sinc(u_max * (x + y))
+                - (2.0 * c / np.pi) * _robin_integral(c, x + y, u_max))
 
     return Kernel(fn=fn, spec={"Limit": {"HalfLineRobin": {"c": c, "e": e}}})
 
@@ -582,9 +528,12 @@ def half_line_robin_projection(c: float, e: float) -> Kernel:
 def delta_line_projection(c: float, e: float) -> Kernel:
     """Spectral projection of the full-line Laplacian with a point scatterer.
 
-    int_0^(sqrt(e)/pi) cos(pi(x-y)u) du plus the scatterer interference term
-    of :func:`kernel_delta_edge` taken at separation |x| + |y|, c >= 0;
-    symmetric under reflecting both arguments through the scatterer.
+    int_0^(sqrt(e)/pi) [cos(pi(x-y)u) + c (2 pi u sin(pi s u) - c cos(pi s u))
+    / ((2 pi u)^2 + c^2)] du at s = |x| + |y|, c >= 0; symmetric under
+    reflecting both arguments through the scatterer.  The second term is
+    Im[c e^(i pi s u) / (2 pi u + i c)]: the even modes cos(p|x| + delta(p))
+    carry phase shift tan(delta) = -c/2p, and this is their interference with
+    the free part.  It is -(c / 2 pi) times `_robin_integral` at a = c/2.
     """
     if c < 0:
         raise ValueError(f"scatterer strength must be nonnegative, got {c}")
@@ -592,13 +541,9 @@ def delta_line_projection(c: float, e: float) -> Kernel:
         raise ValueError(f"energy cut must be nonnegative, got {e}")
     u_max = np.sqrt(e) / np.pi
 
-    def one(d: float, s: float) -> float:
-        free, _ = quad(lambda u: np.cos(np.pi * d * u), 0.0, u_max,
-                       epsabs=1e-10, epsrel=1e-10, limit=200)
-        return free + _scatterer_tail(c, s, u_max)
-
     def fn(x, y):
-        return _per_distinct(one, x - y, np.abs(x) + np.abs(y))
+        tail = 0.0 if c == 0 else _robin_integral(0.5 * c, np.abs(x) + np.abs(y), u_max)
+        return u_max * np.sinc(u_max * (x - y)) - (c / TWO_PI) * tail
 
     return Kernel(fn=fn, spec={"Limit": {"DeltaLine": {"c": c, "e": e}}})
 

@@ -25,7 +25,6 @@ __all__ = [
     "haar_special_orthogonal",
     "haar_unitary",
     "make_rng",
-    "sample_grand_canonical",
     "sample_grand_canonical_many",
     "sample_projection",
     "sample_projection_many",
@@ -187,12 +186,6 @@ def sample_projection_many(family: ModeFamily, count: int, rng,
 
 # ---------------------------------------------------------------------------
 # grand canonical sampler
-
-
-def sample_grand_canonical(family: ModeFamily, t: float, mu: float, rng,
-                           domain: tuple[float, float] = (0.0, TWO_PI)) -> np.ndarray:
-    """One grand-canonical draw: Bernoulli mode occupation, then positions."""
-    return sample_grand_canonical_many(family, t, mu, 1, rng, domain)[0]
 
 
 def sample_grand_canonical_many(family: ModeFamily, t: float, mu: float,

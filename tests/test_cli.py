@@ -377,3 +377,23 @@ def test_figure_rejects_json_format():
                             "--format", "json"])
     assert code == 1
     assert "CSV only" in err
+
+
+def test_config_hash_ignores_out_and_format(tmp_path):
+    # where and how a result is written does not change which result it is
+    hashes = set()
+    for i, fmt in enumerate((None, "json", "csv")):
+        for name in ("a", "b"):
+            out = tmp_path / f"{name}{i}"
+            argv = ["spectrum", "--bc", "dirichlet", "--count", "3", "--out", str(out)]
+            code, _, _ = run_cli(argv + (["--format", fmt] if fmt else []))
+            assert code == 0
+            text = out.read_text()
+            if text.startswith("{"):
+                hashes.add(json.loads(text)["config_hash"])
+            else:
+                hashes.add(next(line.split()[-1] for line in text.splitlines()
+                                if line.startswith("# config_hash: ")))
+    assert len(hashes) == 1
+    code, out, _ = run_cli(["spectrum", "--bc", "dirichlet", "--count", "4"])
+    assert json.loads(out)["config_hash"] not in hashes
