@@ -12,7 +12,11 @@ speed falls on both sides alike.  PATH receives a JSON document with every
 run's end-to-end metrics and, per workload and metric, the median and
 interquartile range on each side, the head-over-base change in the worse
 direction, the bound from ``BENCHMARK.json``, and how many pairs the head
-won; plus the seeds, the two source digests and the tool versions.  The
+won; plus the seeds, the two source digests and the tool versions.  Each
+run also records every job's median ``run_s`` from the ``job NAME
+mode=plain ... run_s=[...]`` lines ``benchmarks/run.py`` prints, and per
+workload and job the report gives both sides' spread of those medians, the
+head-over-base change and the head's wins; the change is printed too.  The
 exit status is 1 if any run reported an incorrect output, 0 otherwise.
 """
 
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -30,16 +35,24 @@ from same_outputs import export
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECONDS = 30
+JOB_LINE = re.compile(r"job (\S+) mode=plain runs=\d+ ok=\d+ run_s=\[([^\]]*)\]")
 
 
 def bench(tree: str, workload: str, seed: int) -> tuple[dict, dict]:
-    """(provenance, result) of one benchmark run in one tree."""
+    """(provenance, result) of one benchmark run in one tree.
+
+    The result gains ``job_run_s``: each job's median ``run_s`` over the
+    run's successful repetitions (a job with none is left out).
+    """
     proc = subprocess.run([sys.executable, "benchmarks/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
                           cwd=tree, capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
     prov = next(json.loads(l.split(" ", 1)[1]) for l in lines if l.startswith("provenance "))
-    return prov, json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["job_run_s"] = {m[1]: statistics.median(map(float, m[2].split()))
+                           for m in map(JOB_LINE.fullmatch, lines) if m and m[2]}
+    return prov, result
 
 
 def summary(values: list[float]) -> dict:
@@ -60,6 +73,21 @@ def compare(runs: list[dict], spec: dict) -> dict:
                      "bound": metric["bound"], "base": b, "head": h,
                      "worse_by": worse, "within_bound": worse <= metric["bound"],
                      "head_wins": sum(sign * (y - x) < 0 for x, y in zip(base, head))}
+    return out
+
+
+def compare_jobs(runs: list[dict]) -> dict:
+    """Per job timed on both sides in every pair: the spread of its median
+    ``run_s`` on each side, the head-over-base change and the head's wins."""
+    names = set.intersection(*(set(r[s]["job_run_s"]) for r in runs for s in ("base", "head")))
+    out = {}
+    for name in sorted(names):
+        base = [r["base"]["job_run_s"][name] for r in runs]
+        head = [r["head"]["job_run_s"][name] for r in runs]
+        b, h = summary(base), summary(head)
+        change = h["median"] / b["median"] - 1.0 if b["median"] else 0.0
+        out[name] = {"base": b, "head": h, "change": change,
+                     "head_wins": sum(y < x for x, y in zip(base, head))}
     return out
 
 
@@ -100,7 +128,8 @@ def main() -> int:
     provenance["base"]["git_commit"] = base_commit
     report = {"base": args.base, "pairs": args.pairs, "seconds": SECONDS, "trace": 0,
               "seeds": list(range(1, args.pairs + 1)), "provenance": provenance,
-              "workloads": {w: {"compare": compare(runs[w], spec), "runs": runs[w]}
+              "workloads": {w: {"compare": compare(runs[w], spec), "jobs": compare_jobs(runs[w]),
+                                "runs": runs[w]}
                             for w in workloads}}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
@@ -109,6 +138,10 @@ def main() -> int:
         for name, c in report["workloads"][w]["compare"].items():
             print(f"{w} {name}: base {c['base']['median']:.4g} head {c['head']['median']:.4g} "
                   f"worse_by {c['worse_by']:+.3f} (bound {c['bound']}) "
+                  f"head wins {c['head_wins']}/{args.pairs}")
+        for name, c in report["workloads"][w]["jobs"].items():
+            print(f"{w} job {name}: run_s base {c['base']['median']:.4g} "
+                  f"head {c['head']['median']:.4g} change {c['change']:+.1%} "
                   f"head wins {c['head_wins']}/{args.pairs}")
     correct = all(r[s]["correct"] for w in workloads for r in runs[w] for s in ("base", "head"))
     return 0 if correct else 1

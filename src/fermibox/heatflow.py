@@ -8,7 +8,9 @@ them by reflection.  Loop configurations that return to their starting set
 carry the weight det[p_t(x_i, x_j)]; because every propagator here is a
 positive mode sum, that determinant factors through a rectangular mode
 matrix, and a pivoted QR of the factor evaluates the log-weight stably far
-below where a plain LU determinant drowns in roundoff.
+below where a plain LU determinant drowns in roundoff.  The Metropolis
+chain keeps that factor between steps: a proposal rebuilds one point's row
+and calls LAPACK's pivoted QR (``geqp3``) once.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr as pivoted_qr
+from scipy.linalg import get_lapack_funcs
 
 from .analysis import _pair_estimate, bin_average, estimate_density
 from .kernels import finite_t_kernel, finite_t_modes
@@ -109,21 +111,15 @@ def heat_propagator(family: str, t: float, eps: float = 1e-14):
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
     tau = 0.5 * t
+    theta = _theta_half if family == "B" else _theta_full
 
-    if family == "A":
-        return lambda x, y: _theta_full(
-            np.asarray(x, float) - np.asarray(y, float), tau, eps) / TWO_PI
-    if family == "B":
-        return lambda x, y: (
-            _theta_half(np.asarray(x, float) - np.asarray(y, float), tau, eps)
-            - _theta_half(np.asarray(x, float) + np.asarray(y, float), tau, eps)) / TWO_PI
-    if family == "C":
-        return lambda x, y: (
-            _theta_full(np.asarray(x, float) - np.asarray(y, float), tau, eps)
-            - _theta_full(np.asarray(x, float) + np.asarray(y, float), tau, eps)) / TWO_PI
-    return lambda x, y: (
-        _theta_full(np.asarray(x, float) - np.asarray(y, float), tau, eps)
-        + _theta_full(np.asarray(x, float) + np.asarray(y, float), tau, eps)) / TWO_PI
+    def p(x, y):
+        x, y = np.asarray(x, float), np.asarray(y, float)
+        if family == "A":
+            return theta(x - y, tau, eps) / TWO_PI
+        image = theta(x + y, tau, eps)        # reflection off the walls
+        return (theta(x - y, tau, eps) + (image if family == "D" else -image)) / TWO_PI
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +134,8 @@ def _check_config(family: str, points) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 1 or len(points) == 0:
         raise ValueError("configuration must be a nonempty 1-d array")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("configuration points must be finite")
     top = _domain_top(family)
     if family == "A":
         if np.any(points < 0) or np.any(points >= top):
@@ -149,28 +147,46 @@ def _check_config(family: str, points) -> np.ndarray:
     return points
 
 
-def _mode_factor(family: str, tau: float, points: np.ndarray) -> np.ndarray:
-    """G with det[p_t(x_i, x_j)] = det(G G†) — rows points, columns modes.
+def _mode_columns(family: str, tau: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mode numbers of the factor for n points and their decay (A: its exponent).
 
     The cutoff keeps at least as many modes as points (else the factor is
     rank deficient) plus enough decay margin that dropped modes are
     negligible relative to the kept ones.
     """
-    k_max = len(points) + int(np.ceil(np.sqrt(120.0 / tau))) + 1
+    k_max = ((n + 1) // 2 if family == "A" else n) + int(np.ceil(np.sqrt(120.0 / tau))) + 1
     if family == "A":
-        k_max = (len(points) + 1) // 2 + int(np.ceil(np.sqrt(120.0 / tau))) + 1
         ks = np.arange(-k_max, k_max + 1, dtype=float)
-        return np.exp(1j * np.outer(points, ks) - 0.5 * tau * ks**2) / np.sqrt(TWO_PI)
-    if family == "B":
-        ks = np.arange(0, k_max + 1, dtype=float) + 0.5
-        return np.sqrt(2.0 / np.pi) * np.sin(np.outer(points, ks)) * np.exp(-0.5 * tau * ks**2)
-    if family == "C":
-        ks = np.arange(1, k_max + 1, dtype=float)
-        return np.sqrt(2.0 / np.pi) * np.sin(np.outer(points, ks)) * np.exp(-0.5 * tau * ks**2)
-    ks = np.arange(0, k_max + 1, dtype=float)
-    g = np.sqrt(2.0 / np.pi) * np.cos(np.outer(points, ks)) * np.exp(-0.5 * tau * ks**2)
-    g[:, 0] = 1.0 / np.sqrt(np.pi)
+        return ks, 0.5 * tau * ks**2
+    ks = np.arange(1 if family == "C" else 0, k_max + 1, dtype=float)
+    ks = ks + 0.5 if family == "B" else ks
+    return ks, np.exp(-0.5 * tau * ks**2)
+
+
+def _mode_factor(family: str, columns, points) -> np.ndarray:
+    """G with det[p_t(x_i, x_j)] = det(G G†): a row per point (1-d for a scalar)."""
+    ks, decay = columns
+    if family == "A":
+        return np.exp(1j * np.multiply.outer(points, ks) - decay) / np.sqrt(TWO_PI)
+    if family != "D":
+        return np.sqrt(2.0 / np.pi) * np.sin(np.multiply.outer(points, ks)) * decay
+    g = np.sqrt(2.0 / np.pi) * np.cos(np.multiply.outer(points, ks)) * decay
+    g[..., 0] = 1.0 / np.sqrt(np.pi)
     return g
+
+
+def _pivoted_logdet(gh: np.ndarray):
+    """The map a -> log det(G G†) for a = G† shaped and typed like gh: |diag R|
+    of ``scipy.linalg.qr(a, pivoting=True)`` through the same LAPACK ``geqp3``
+    call and workspace, queried here once.  a must be finite; it is not overwritten.
+    """
+    geqp3, = get_lapack_funcs(("geqp3",), (gh,))
+    lwork = geqp3(gh, lwork=-1)[-2][0].real.astype(np.int_)
+
+    def logdet(a: np.ndarray) -> float:
+        diag = abs(geqp3(a, lwork=lwork)[0].diagonal())
+        return float(2.0 * np.log(diag).sum()) if diag.all() else -np.inf
+    return logdet
 
 
 def _loop_logdet(family: str, t: float, points: np.ndarray) -> float:
@@ -180,12 +196,8 @@ def _loop_logdet(family: str, t: float, points: np.ndarray) -> float:
     keeps log-weights accurate far below the absolute-size floor where an
     LU determinant of the n x n matrix degenerates into rounding noise.
     """
-    g = _mode_factor(family, 0.5 * t, points)
-    r = pivoted_qr(g.conj().T, mode="r", pivoting=True)[0]
-    diag = np.abs(np.diagonal(r))[: len(points)]
-    if np.any(diag == 0.0):
-        return -np.inf
-    return float(2.0 * np.sum(np.log(diag)))
+    gh = _mode_factor(family, _mode_columns(family, 0.5 * t, len(points)), points).conj().T
+    return _pivoted_logdet(gh)(gh)
 
 
 def km_log_density(family: str, t: float, points) -> tuple[float, float]:
@@ -225,8 +237,10 @@ def km_mcmc(family: str, t: float, n: int, steps: int, rng,
 
     One coordinate moves by a Gaussian step, wrapped on the circle and
     reflected on the interval; proposals that break the ordering or carry
-    nonpositive weight are rejected.  Returns (samples, acceptance_rate),
-    samples shaped (kept, n); acceptance below 1% triggers a warning.
+    nonpositive weight are rejected.  The mode factor is kept across steps,
+    so a proposal costs one row and one pivoted QR.  Returns (samples,
+    acceptance_rate), samples shaped (kept, n), kept = 0 when burn >= steps;
+    acceptance below 1% triggers a warning.
     """
     if not 0 < t < np.inf:
         raise ValueError(f"time must be positive and finite, got {t}")
@@ -241,7 +255,10 @@ def km_mcmc(family: str, t: float, n: int, steps: int, rng,
     rng = make_rng(rng)
     top = _domain_top(family)
     x = top * np.arange(1, n + 1) / (n + 1.0)
-    logp = _loop_logdet(family, t, x)
+    columns = _mode_columns(family, 0.5 * t, n)
+    gh = np.asfortranarray(_mode_factor(family, columns, x).conj().T)
+    logdet = _pivoted_logdet(gh)
+    logp = logdet(gh)
     if not np.isfinite(logp):
         raise NonPositiveDeterminant("could not start from the uniform configuration")
     kept = []
@@ -257,18 +274,20 @@ def km_mcmc(family: str, t: float, n: int, steps: int, rng,
             and (i == 0 or xi != x[i - 1])
         )
         if ordered:
-            cand = x.copy()
-            cand[i] = xi
-            lp2 = _loop_logdet(family, t, cand)
+            row = gh[:, i].copy()
+            np.conjugate(_mode_factor(family, columns, xi), out=gh[:, i])
+            lp2 = logdet(gh)
             if np.isfinite(lp2) and np.log(rng.random()) < lp2 - logp:
-                x, logp = cand, lp2
+                x[i], logp = xi, lp2
                 accepted += 1
+            else:
+                gh[:, i] = row
         if it >= burn and (it - burn) % thin == 0:
             kept.append(x.copy())
     rate = accepted / steps
     if rate < 0.01:
         warnings.warn(f"loop sampler acceptance rate {rate:.4f}; reduce the step size")
-    return np.array(kept), rate
+    return np.reshape(kept, (len(kept), n)), rate
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,14 @@ def test_sample_gc_rows_vary_in_length():
     assert all(0.0 <= p < 2 * np.pi for p in pts)
 
 
+def test_km_density_rejects_nan_points():
+    for family in ("A", "B"):
+        code, out, err = run_cli(["km", "density", "--family", family, "--t", "1.0",
+                                  "--points", "nan,1.0,2.0"])
+        assert code == 1 and out == "", family
+        assert "finite" in err
+
+
 def test_km_mcmc_csv_chain_layout():
     code, out, _ = run_cli(["km", "mcmc", "--family", "C", "--t", "0.5",
                             "--n", "3", "--steps", "200", "--thin", "50",

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from fermibox import analysis as an
 from fermibox import heatflow as hf
 from fermibox.kernels import finite_t_kernel, finite_t_modes
-from fermibox.sampling import RngSpec, sample_grand_canonical_many
+from fermibox.sampling import RngSpec, make_rng, sample_grand_canonical_many
 from fermibox.thermo import solve_mu
 
 RNG = np.random.default_rng(615)
@@ -213,6 +214,13 @@ def test_loop_weight_validation():
         hf.km_log_density("C", 1.0, [0.7, 0.7, 1.2])    # coincident pair
 
 
+def test_loop_weight_rejects_nan_points():
+    # NaN passes both range comparisons, so finiteness has its own check
+    for fam in ("A", "B"):
+        with pytest.raises(ValueError, match="finite"):
+            hf.km_log_density(fam, 1.0, [np.nan, 1.0, 2.0])
+
+
 # ---------------------------------------------------------------------------
 # Metropolis chain
 
@@ -263,6 +271,89 @@ def test_mcmc_validation_and_warning():
     # a crowded frozen chain with huge steps almost never finds its slot
     with pytest.warns(UserWarning):
         hf.km_mcmc("C", 0.1, 150, 1200, RngSpec(0), step=30.0, thin=400)
+
+
+def test_mcmc_burn_past_the_chain_keeps_the_sample_shape():
+    samples, _ = hf.km_mcmc("C", 0.5, 3, 50, RngSpec(1), burn=100)
+    assert samples.shape == (0, 3)
+
+
+def _qr_mode_factor(family, tau, points):
+    """The mode factor as one expression per family, rebuilt from scratch."""
+    k_max = len(points) + int(np.ceil(np.sqrt(120.0 / tau))) + 1
+    if family == "A":
+        k_max = (len(points) + 1) // 2 + int(np.ceil(np.sqrt(120.0 / tau))) + 1
+        ks = np.arange(-k_max, k_max + 1, dtype=float)
+        return np.exp(1j * np.outer(points, ks) - 0.5 * tau * ks**2) / np.sqrt(TWO_PI)
+    if family == "B":
+        ks = np.arange(0, k_max + 1, dtype=float) + 0.5
+        return np.sqrt(2.0 / np.pi) * np.sin(np.outer(points, ks)) * np.exp(-0.5 * tau * ks**2)
+    if family == "C":
+        ks = np.arange(1, k_max + 1, dtype=float)
+        return np.sqrt(2.0 / np.pi) * np.sin(np.outer(points, ks)) * np.exp(-0.5 * tau * ks**2)
+    ks = np.arange(0, k_max + 1, dtype=float)
+    g = np.sqrt(2.0 / np.pi) * np.cos(np.outer(points, ks)) * np.exp(-0.5 * tau * ks**2)
+    g[:, 0] = 1.0 / np.sqrt(np.pi)
+    return g
+
+
+def _qr_logdet(family, t, points):
+    g = _qr_mode_factor(family, 0.5 * t, points)
+    r = scipy.linalg.qr(g.conj().T, mode="r", pivoting=True)[0]
+    diag = np.abs(np.diagonal(r))[: len(points)]
+    if np.any(diag == 0.0):
+        return -np.inf
+    return float(2.0 * np.sum(np.log(diag)))
+
+
+def _qr_chain(family, t, n, steps, rng, step, thin, burn):
+    """km_mcmc's Metropolis chain, refactoring the whole configuration per step."""
+    rng = make_rng(rng)
+    top = TWO_PI if family == "A" else np.pi
+    x = top * np.arange(1, n + 1) / (n + 1.0)
+    logp = _qr_logdet(family, t, x)
+    kept, accepted = [], 0
+    lo_edge = 0.0 if family == "A" else np.nextafter(0.0, 1.0)
+    for it in range(steps):
+        i = int(rng.integers(n))
+        xi = hf._fold(family, x[i] + step * rng.standard_normal(), top)
+        if (xi >= (x[i - 1] if i > 0 else lo_edge)
+                and xi < (x[i + 1] if i + 1 < n else top)
+                and (family == "A" or xi > 0.0)
+                and (i == 0 or xi != x[i - 1])):
+            cand = x.copy()
+            cand[i] = xi
+            lp2 = _qr_logdet(family, t, cand)
+            if np.isfinite(lp2) and np.log(rng.random()) < lp2 - logp:
+                x, logp = cand, lp2
+                accepted += 1
+        if it >= burn and (it - burn) % thin == 0:
+            kept.append(x.copy())
+    return np.array(kept), accepted / steps
+
+
+@pytest.mark.parametrize("family, t, n", [
+    ("A", 1.0, 7), ("A", 0.3, 1), ("B", 0.3, 4), ("B", 2.0, 1),
+    ("C", 0.5, 5), ("C", 0.05, 1), ("D", 1.0, 3), ("D", 0.2, 1),
+])
+def test_mcmc_chain_is_bitwise_the_full_refactoring_chain(family, t, n):
+    for seed in (2, 97):
+        samples, rate = hf.km_mcmc(family, t, n, 700, RngSpec(seed), step=0.4, thin=3, burn=50)
+        want, want_rate = _qr_chain(family, t, n, 700, RngSpec(seed), 0.4, 3, 50)
+        assert samples.tobytes() == want.tobytes() and samples.shape == want.shape
+        assert rate == want_rate and rate > 0.05, (seed, rate)
+        assert n == 1 or rate < 0.95, (seed, rate)     # rejections restore a row
+
+
+def test_loop_logdet_is_bitwise_the_scipy_qr_route():
+    rng = np.random.default_rng(2024)
+    for fam in hf.FAMILIES:
+        top = TWO_PI if fam == "A" else np.pi
+        for _ in range(200):
+            n = int(rng.choice([1, 3, 5, 7, 9]) if fam == "A" else rng.integers(1, 10))
+            pts = np.sort(rng.uniform(0.0, top, n))
+            t = float(np.exp(rng.uniform(np.log(0.02), np.log(20.0))))
+            assert hf._loop_logdet(fam, t, pts) == _qr_logdet(fam, t, pts), (fam, t, pts)
 
 
 # ---------------------------------------------------------------------------
