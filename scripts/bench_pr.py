@@ -31,7 +31,7 @@ import subprocess
 import sys
 import tempfile
 
-from same_outputs import export
+from same_outputs import exit_on_sigterm, export
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECONDS = 30
@@ -92,6 +92,7 @@ def compare_jobs(runs: list[dict]) -> dict:
 
 
 def main() -> int:
+    exit_on_sigterm()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--out", required=True, help="path of the JSON report")

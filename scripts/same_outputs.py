@@ -27,6 +27,7 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -102,7 +103,14 @@ def export(rev: str, dest: str) -> None:
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
+def exit_on_sigterm() -> None:
+    """Make SIGTERM raise SystemExit, so a running subprocess.run kills its
+    child and TemporaryDirectory removes the export on the way out."""
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+
+
 def main() -> int:
+    exit_on_sigterm()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--workload", choices=WORKLOADS, default=None,

@@ -33,8 +33,8 @@ from .kernels import (finite_t_modes, ground_state_kernel,
                       parse_kernel_spec)
 from .sampling import (RngSpec, SamplerError, haar_eigenangles, make_rng,
                        sample_grand_canonical_many, sample_projection_many)
-from .spectral import (NormalizationFailure, RootSearchFailure,
-                       solve_spectrum)
+from .spectral import (DECAY, LINEAR, TRIG, NormalizationFailure,
+                       RootSearchFailure, solve_spectrum)
 from .thermo import BracketFailure, fermi_factor, polylog_half, solve_lambda, solve_mu
 
 __all__ = ["RunConfig", "run", "main"]
@@ -227,15 +227,26 @@ def _parse_spec(text: str) -> dict:
 # subcommand handlers
 
 
+_KIND_NAMES = {TRIG: "trig", LINEAR: "linear", DECAY: "hyperbolic"}
+
+
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     if (args.count is None) == (args.emax is None):
         raise UsageError("give exactly one of --count, --emax")
     bc = _parse_bc(args.bc)
     spectrum = (solve_spectrum(bc, count=args.count) if args.count is not None
                 else solve_spectrum(bc, e_max=args.emax))
-    modes = [{"k": m.index, "E": m.energy, "kind": m.kind,
-              "a": [m.a.real, m.a.imag], "b": [m.b.real, m.b.imag]}
-             for m in spectrum.modes]
+    fam = spectrum.modes
+    # bound states print in the (cosh, sinh) basis: a = c1 + c2 q, b = c2 q - c1,
+    # q = exp(-2 pi kappa), from the decaying pair (c1, c2) the family holds
+    hyp = fam.kind == DECAY
+    c1, c2 = fam.a[hyp], fam.b[hyp] * np.exp(-2.0 * np.pi * fam.w[hyp])
+    a, b = fam.a.copy(), fam.b.copy()
+    a[hyp], b[hyp] = c1 + c2, c2 - c1
+    modes = [{"k": k, "E": e, "kind": _KIND_NAMES[c],
+              "a": [ak.real, ak.imag], "b": [bk.real, bk.imag]}
+             for k, (e, c, ak, bk) in enumerate(zip(fam.energies.tolist(), fam.kind.tolist(),
+                                                    a.tolist(), b.tolist()))]
     if _format(args, "json") == "json":
         _emit_json({"bc": json.loads(boundary_to_json(bc)), "modes": modes},
                    args)

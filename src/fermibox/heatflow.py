@@ -57,8 +57,8 @@ def theta3(z, t: float, eps: float = 1e-14) -> np.ndarray:
     that the image (modular-transformed) Gaussian sum takes over.  Both
     truncations leave tails below eps.
     """
-    if t <= 0:
-        raise ValueError(f"theta time must be positive, got {t}")
+    if not 0 < t < np.inf:
+        raise ValueError(f"theta time must be positive and finite, got {t}")
     z = np.asarray(z, dtype=float)
     decay = _decay_exponent(eps)
     if t >= 1.0:
@@ -108,8 +108,8 @@ def heat_propagator(family: str, t: float, eps: float = 1e-14):
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown propagator family {family!r}")
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    if not 0 < t < np.inf:
+        raise ValueError(f"time must be positive and finite, got {t}")
     tau = 0.5 * t
     theta = _theta_half if family == "B" else _theta_full
 

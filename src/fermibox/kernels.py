@@ -16,9 +16,9 @@ forms in sinc and the exponential integral, evaluated once per distinct
 x + y, except the finite-temperature sine kernel, which has no closed form
 and takes one fixed Gauss-Legendre rule per distinct |x - y|.
 
-Single-particle modes, closed-form or solved, are rows of one array-backed
-`ModeFamily` (energy, kind code, frequency, two coefficients); `eval_matrix`
-evaluates all rows of a kind in one numpy expression.
+Single-particle modes are rows of `spectral.ModeFamily`: the separable
+presets get closed-form families (SIN, COS and WAVE rows) and every other
+boundary condition takes the solver's family as it comes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .boundary import (
     make_preset,
     to_json as boundary_to_json,
 )
-from .spectral import MAX_LEVELS, EigenMode, Spectrum, solve_spectrum
+from .spectral import COS, MAX_LEVELS, SIN, WAVE, ModeFamily, Spectrum, solve_spectrum
 from .thermo import _fermi_integral, fermi_factor
 
 __all__ = [
@@ -147,60 +147,6 @@ def group_kernel(group: str, n: int) -> Kernel:
 # mode families
 
 
-# Row formulas by kind code.  Each repeats the floating-point operations of
-# the closed form or `spectral.eigenfunction_eval` branch it replaces, so
-# families evaluate to the same bits.  The norm of the first three is
-# `a.real`: numpy divides by a complex `a` through its reciprocal.
-_ROWS = (
-    lambda w, a, b, x: np.sin(w * x) / a.real,                    # SIN
-    lambda w, a, b, x: np.cos(w * x) / a.real,                    # COS
-    lambda w, a, b, x: np.exp(1j * w * x) / a.real,               # WAVE
-    lambda w, a, b, x: a * np.cos(w * x) + b * np.sin(w * x),     # TRIG
-    lambda w, a, b, x: a + b * x,                                 # LINEAR
-    lambda w, a, b, x: a * np.exp(-w * x) + b * np.exp(-w * (TWO_PI - x)),  # DECAY
-)
-SIN, COS, WAVE, TRIG, LINEAR, DECAY = range(len(_ROWS))
-
-
-@dataclass(frozen=True)
-class ModeFamily:
-    """Orthonormal modes as rows: mode k is _ROWS[kind[k]](w[k], a[k], b[k], x).
-
-    Scalar fields broadcast over the modes; ``family[idx]`` is the family of
-    the selected rows.
-    """
-
-    energies: np.ndarray
-    kind: np.ndarray
-    w: np.ndarray
-    a: np.ndarray
-    b: np.ndarray = 0.0
-
-    def __post_init__(self):
-        n = np.shape(self.energies)
-        for name, dtype in (("energies", float), ("kind", int), ("w", float),
-                            ("a", complex), ("b", complex)):
-            object.__setattr__(self, name, np.array(np.broadcast_to(getattr(self, name), n), dtype=dtype))
-
-    def __len__(self) -> int:
-        return len(self.energies)
-
-    def __getitem__(self, idx) -> "ModeFamily":
-        return ModeFamily(self.energies[idx], self.kind[idx], self.w[idx],
-                          self.a[idx], self.b[idx])
-
-    def eval_matrix(self, xs) -> np.ndarray:
-        """phi[k, ...] = psi_k(xs), all rows of one kind in one expression."""
-        xs = np.asarray(xs, dtype=float)
-        out = np.empty((len(self), xs.size), dtype=complex)
-        for code, row in enumerate(_ROWS):
-            sel = np.flatnonzero(self.kind == code)
-            if len(sel):
-                out[sel] = row(self.w[sel, None], self.a[sel, None],
-                               self.b[sel, None], xs.ravel())
-        return out.reshape((len(self),) + xs.shape)
-
-
 def _closed_family(label: str, count: int) -> ModeFamily | None:
     """Closed-form families for the separable presets; None if no closed form."""
     sp = np.sqrt(np.pi)
@@ -222,22 +168,6 @@ def _closed_family(label: str, count: int) -> ModeFamily | None:
         return ModeFamily(ks**2, np.where(top, COS, WAVE), np.where(top, -ks, ks),
                           np.where(top, sp, np.sqrt(TWO_PI)))
     return None
-
-
-def _spectral_row(mode: EigenMode) -> tuple[int, float, complex, complex]:
-    if mode.kind == "trig":
-        return TRIG, mode.omega, mode.a, mode.b
-    if mode.kind == "linear":
-        return LINEAR, 0.0, mode.a, mode.b
-    if mode.decay is None:
-        # rebuilding the pair from a cosh/sinh one cancels catastrophically
-        raise ValueError("hyperbolic modes need their decaying-basis pair")
-    return (DECAY, mode.kappa, *mode.decay)
-
-
-def _family_from_spectrum(spectrum: Spectrum) -> ModeFamily:
-    rows = [_spectral_row(m) for m in spectrum.modes]
-    return ModeFamily(spectrum.energies, *(zip(*rows) if rows else ((),) * 4))
 
 
 def _source_to_bc(source) -> BoundaryMatrix:
@@ -280,12 +210,12 @@ def ground_state_modes(source, n: int) -> ModeFamily:
     if isinstance(source, Spectrum):
         if len(source) < n:
             source = solve_spectrum(source.bc, count=n)
-        return _family_from_spectrum(source)[:n]
+        return source.modes[:n]
     bc = _source_to_bc(source)
     fam = _closed_family(bc.label, n)
     if fam is not None:
         return fam
-    return _family_from_spectrum(solve_spectrum(bc, count=n))
+    return solve_spectrum(bc, count=n).modes
 
 
 def _kernel_from_modes(family: ModeFamily, weights, spec: dict | None) -> Kernel:
@@ -363,7 +293,7 @@ def finite_t_modes(source, t: float, mu: float, eps: float = 1e-12) -> ModeFamil
     if t <= 0:
         raise ValueError(f"temperature must be positive, got {t}")
     if isinstance(source, Spectrum):
-        fam = _family_from_spectrum(source)
+        fam = source.modes
         top = fermi_factor(np.max(fam.energies), t, mu)
         if top > eps:
             raise ValueError(
@@ -377,8 +307,7 @@ def finite_t_modes(source, t: float, mu: float, eps: float = 1e-12) -> ModeFamil
     # generic route: Weyl growth bounds the number of modes per energy window,
     # so cutting at mu + t * max(45, ln(1/eps) + 8) certifies the tail
     e_cut = mu + t * max(45.0, -np.log(eps) + 8.0)
-    spectrum = solve_spectrum(bc, e_max=max(e_cut, 1.0))
-    return _family_from_spectrum(spectrum)
+    return solve_spectrum(bc, e_max=max(e_cut, 1.0)).modes
 
 
 def finite_t_kernel(source, t: float, mu: float, eps: float = 1e-12) -> Kernel:

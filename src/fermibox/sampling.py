@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import COS, SIN, TRIG, WAVE, ModeFamily
+from .spectral import COS, SIN, TRIG, WAVE, ModeFamily
 from .thermo import fermi_factor
 
 __all__ = [

@@ -12,6 +12,11 @@ nodes of a sector, one bisection over all its brackets to brentq's
 tolerance, one stacked SVD for the modes.  No scan passes MAX_LEVELS levels
 by the Weyl count (ValueError), and phases are pinned on the first
 coefficient within 1e-8 relative of the largest, so ties never hang on rounding.
+
+Single-particle modes, solved or closed-form, are rows of one array-backed
+`ModeFamily` (energy, kind code, frequency, two coefficients); the solver
+builds its family straight from the sector arrays, and `eval_matrix`
+evaluates all rows of a kind in one numpy expression.
 """
 
 from __future__ import annotations
@@ -23,12 +28,11 @@ import numpy as np
 from .boundary import BoundaryData, BoundaryMatrix
 
 __all__ = [
-    "EigenMode",
+    "ModeFamily",
     "NormalizationFailure",
     "RootSearchFailure",
     "Spectrum",
     "WeylReport",
-    "eigenfunction_eval",
     "mode_boundary_data",
     "orthonormality_check",
     "secular_det",
@@ -53,51 +57,78 @@ class NormalizationFailure(RuntimeError):
     """Raised when a candidate eigenfunction cannot be L2-normalized."""
 
 
+# Row formulas by kind code.  The first three serve the closed-form families
+# of `kernels` and `sampling` and repeat the floating-point operations of the
+# closed formulas, so those families evaluate to the same bits; their norm is
+# `a.real`, since numpy divides by a complex `a` through its reciprocal.  The
+# last three are what `solve_spectrum` finds; DECAY rows hold the decaying
+# pair (c1, c2) of c1 exp(-k x) + c2 exp(-k (2*pi - x)), bounded at any k,
+# where a cosh/sinh pair would cancel catastrophically.
+_ROWS = (
+    lambda w, a, b, x: np.sin(w * x) / a.real,                    # SIN
+    lambda w, a, b, x: np.cos(w * x) / a.real,                    # COS
+    lambda w, a, b, x: np.exp(1j * w * x) / a.real,               # WAVE
+    lambda w, a, b, x: a * np.cos(w * x) + b * np.sin(w * x),     # TRIG
+    lambda w, a, b, x: a + b * x,                                 # LINEAR
+    lambda w, a, b, x: a * np.exp(-w * x) + b * np.exp(-w * (L - x)),  # DECAY
+)
+SIN, COS, WAVE, TRIG, LINEAR, DECAY = range(len(_ROWS))
+
+
 @dataclass(frozen=True)
-class EigenMode:
-    """One orthonormal eigenfunction of the boxed Laplacian.
+class ModeFamily:
+    """Orthonormal modes as rows: mode k is _ROWS[kind[k]](w[k], a[k], b[k], x).
 
-    kind "trig":        psi(x) = a cos(w x) + b sin(w x),   w = sqrt(energy)
-    kind "hyperbolic":  psi(x) = a cosh(k x) + b sinh(k x), k = sqrt(-energy)
-    kind "linear":      psi(x) = a + b x                    (energy = 0)
-
-    Hyperbolic modes additionally carry ``decay`` = (c1, c2) with
-    psi(x) = c1 exp(-k x) + c2 exp(-k (2*pi - x)); that pair is the
-    numerically faithful representation for large k (the cosh/sinh pair
-    cancels catastrophically) and is what evaluation uses when present.
+    Scalar fields broadcast over the modes; ``family[idx]`` is the family of
+    the selected rows.
     """
 
-    kind: str
-    energy: float
-    a: complex
-    b: complex
-    index: int = 0
-    decay: tuple[complex, complex] | None = None
+    energies: np.ndarray
+    kind: np.ndarray
+    w: np.ndarray
+    a: np.ndarray
+    b: np.ndarray = 0.0
 
-    @property
-    def omega(self) -> float:
-        if self.kind != "trig":
-            raise ValueError(f"omega undefined for kind {self.kind!r}")
-        return float(np.sqrt(self.energy))
+    def __post_init__(self):
+        n = np.shape(self.energies)
+        for name, dtype in (("energies", float), ("kind", int), ("w", float),
+                            ("a", complex), ("b", complex)):
+            object.__setattr__(self, name, np.array(np.broadcast_to(getattr(self, name), n), dtype=dtype))
 
-    @property
-    def kappa(self) -> float:
-        if self.kind != "hyperbolic":
-            raise ValueError(f"kappa undefined for kind {self.kind!r}")
-        return float(np.sqrt(-self.energy))
+    def __len__(self) -> int:
+        return len(self.energies)
+
+    def __getitem__(self, idx) -> "ModeFamily":
+        return ModeFamily(self.energies[idx], self.kind[idx], self.w[idx],
+                          self.a[idx], self.b[idx])
+
+    def eval_matrix(self, xs) -> np.ndarray:
+        """phi[k, ...] = psi_k(xs), all rows of one kind in one expression."""
+        xs = np.asarray(xs, dtype=float)
+        out = np.empty((len(self), xs.size), dtype=complex)
+        for code, row in enumerate(_ROWS):
+            sel = np.flatnonzero(self.kind == code)
+            if len(sel):
+                out[sel] = row(self.w[sel, None], self.a[sel, None],
+                               self.b[sel, None], xs.ravel())
+        return out.reshape((len(self),) + xs.shape)
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sorted eigenmodes of one boundary condition, up to a scan ceiling."""
+    """Sorted eigenmodes of one boundary condition, up to a scan ceiling.
+
+    ``modes`` holds TRIG rows (w = omega = sqrt(E)), LINEAR rows (E = 0,
+    w = 0) and DECAY rows (w = kappa = sqrt(-E), a and b the decaying pair).
+    """
 
     bc: BoundaryMatrix
-    modes: tuple[EigenMode, ...]
+    modes: ModeFamily
     e_max: float
 
     @property
     def energies(self) -> np.ndarray:
-        return np.array([m.energy for m in self.modes])
+        return self.modes.energies
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -391,9 +422,10 @@ def solve_spectrum(
     one array of nodes; all its brackets are bisected together until
     |hi - lo| <= 1e-13 + 8.9e-16 |x| (brentq's rule).  A count request scans
     up to Weyl's estimate and retries 1.8x higher if short.  Modes come back
-    sorted by energy, L2-normalized with deterministic phases (the first
-    coefficient within 1e-8 relative of the largest in magnitude is real
-    positive), orthonormalized within degenerate pairs.  Raises ValueError
+    as one ModeFamily (see `Spectrum`), sorted by energy, L2-normalized with
+    deterministic phases (the first coefficient within 1e-8 relative of the
+    largest in magnitude is real positive), orthonormalized within
+    degenerate pairs.  Raises ValueError
     when the Weyl count of a scan (count, or 2 sqrt(e_max) + 2) passes
     MAX_LEVELS, and RootSearchFailure if the scan cannot deliver.
     """
@@ -437,70 +469,28 @@ def solve_spectrum(
             f"found {n_modes} modes below e_max={ceiling:.3g}, wanted {target}"
         )
 
-    c1, c2 = hyp_rows[:, 0], hyp_rows[:, 1] * np.exp(-L * kappa)
-    a = np.concatenate([c1 + c2, zero[:n_zero, 0], trig_rows[:, 0]]).tolist()
-    b = np.concatenate([c2 - c1, zero[:n_zero, 1], trig_rows[:, 1]]).tolist()
-    kinds = ["hyperbolic"] * len(kappa) + ["linear"] * n_zero + ["trig"] * len(omega)
-    decays = list(zip(hyp_rows[:, 0].tolist(), hyp_rows[:, 1].tolist())) + [None] * len(a)
-    modes = tuple(EigenMode(*row, index=i, decay=decays[i]) for i, row in
-                  zip(range(target or n_modes), zip(kinds, energy.tolist(), a, b)))
-    return Spectrum(bc=bc, modes=modes, e_max=float(ceiling if target is None else modes[-1].energy))
+    kind = np.repeat([DECAY, LINEAR, TRIG], [len(kappa), n_zero, len(omega)])
+    w = np.concatenate([kappa, np.zeros(n_zero), omega])
+    rows = np.concatenate([hyp_rows, zero[:n_zero], trig_rows])
+    modes = ModeFamily(energy, kind, w, rows[:, 0], rows[:, 1])[:target or n_modes]
+    return Spectrum(bc=bc, modes=modes, e_max=float(ceiling if target is None else energy[target - 1]))
 
 
 # ---------------------------------------------------------------------------
 # evaluation and checks
 
 
-def eigenfunction_eval(mode: EigenMode, x: np.ndarray | float) -> np.ndarray:
-    """psi(x), vectorized; stable for hyperbolic modes at any kappa."""
-    x = np.asarray(x, dtype=float)
-    if mode.kind == "trig":
-        w = mode.omega
-        return mode.a * np.cos(w * x) + mode.b * np.sin(w * x)
-    if mode.kind == "linear":
-        return mode.a + mode.b * x
-    k = mode.kappa
-    if mode.decay is not None:
-        c1, c2 = mode.decay
-        return c1 * np.exp(-k * x) + c2 * np.exp(-k * (L - x))
-    return mode.a * np.cosh(k * x) + mode.b * np.sinh(k * x)
-
-
-def mode_boundary_data(mode: EigenMode) -> BoundaryData:
-    """Boundary trace (values and derivatives at 2*pi and 0) of a mode."""
-    if mode.kind == "trig":
-        w = mode.omega
-        c, s = np.cos(L * w), np.sin(L * w)
-        return BoundaryData(
-            psi_minus=mode.a * c + mode.b * s,
-            psi_plus=mode.a,
-            dpsi_minus=w * (-mode.a * s + mode.b * c),
-            dpsi_plus=mode.b * w,
-        )
-    if mode.kind == "linear":
-        return BoundaryData(
-            psi_minus=mode.a + mode.b * L,
-            psi_plus=mode.a,
-            dpsi_minus=mode.b,
-            dpsi_plus=mode.b,
-        )
-    k = mode.kappa
-    if mode.decay is not None:
-        c1, c2 = mode.decay
-        q_ = np.exp(-L * k)
-        return BoundaryData(
-            psi_minus=c1 * q_ + c2,
-            psi_plus=c1 + c2 * q_,
-            dpsi_minus=k * (-c1 * q_ + c2),
-            dpsi_plus=k * (-c1 + c2 * q_),
-        )
-    ch, sh = np.cosh(L * k), np.sinh(L * k)
-    return BoundaryData(
-        psi_minus=mode.a * ch + mode.b * sh,
-        psi_plus=mode.a,
-        dpsi_minus=k * (mode.a * sh + mode.b * ch),
-        dpsi_plus=mode.b * k,
-    )
+def mode_boundary_data(spectrum: Spectrum) -> BoundaryData:
+    """Boundary traces (values and derivatives at 2*pi and 0) of every mode,
+    one array entry per mode, written out per kind."""
+    f = spectrum.modes
+    w, a, b = f.w, f.a, f.b
+    c, s, q_ = np.cos(L * w), np.sin(L * w), np.exp(-L * w)
+    trig = (a * c + b * s, a, w * (-a * s + b * c), b * w)
+    linear = (a + b * L, a, b, b)
+    decay = (a * q_ + b, a + b * q_, w * (-a * q_ + b), w * (-a + b * q_))
+    kinds = [f.kind == TRIG, f.kind == LINEAR, f.kind == DECAY]
+    return BoundaryData(*(np.select(kinds, field, np.nan) for field in zip(trig, linear, decay)))
 
 
 def orthonormality_check(spectrum: Spectrum, n_quad: int = 2048) -> float:
@@ -508,9 +498,9 @@ def orthonormality_check(spectrum: Spectrum, n_quad: int = 2048) -> float:
     nodes, weights = np.polynomial.legendre.leggauss(n_quad)
     x = 0.5 * L * (nodes + 1.0)
     w = 0.5 * L * weights
-    psi = np.array([eigenfunction_eval(m, x) for m in spectrum.modes])
+    psi = spectrum.modes.eval_matrix(x)
     gram = (psi.conj() * w) @ psi.T
-    return float(np.max(np.abs(gram - np.eye(len(spectrum.modes)))))
+    return float(np.max(np.abs(gram - np.eye(len(spectrum)))))
 
 
 def weyl_check(bc: BoundaryMatrix, e_max: float = 1e4) -> WeylReport:

@@ -265,6 +265,32 @@ def test_spectrum_csv_format():
     assert float(rows[0][1]) == pytest.approx(0.0, abs=1e-12)
 
 
+# the two bound states of robin:-2.5 as printed before the solver returned a
+# mode family: (E, a, b), with a and b the (cosh, sinh) coefficients
+ROBIN_BOUND = (
+    (-9.05750962183482, (1.7348109432178775, -1.573186729856828e-24),
+     (-1.73481092194086, -1.573186729856828e-24)),
+    (-9.05750962183482, (1.7348113266339553, 1.5731863628671746e-24),
+     (-1.7348113479109777, 1.5731863628671746e-24)),
+)
+
+
+def test_spectrum_prints_bound_states_bitwise():
+    argv = ["spectrum", "--bc", "robin:-2.5", "--count", "4"]
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    modes = json.loads(out)["modes"]
+    assert [m["kind"] for m in modes] == ["hyperbolic", "hyperbolic", "trig", "trig"]
+    for m, (e, a, b) in zip(modes, ROBIN_BOUND):
+        assert (m["E"], m["a"], m["b"]) == (e, list(a), list(b))
+    code, out, _ = run_cli(argv + ["--format", "csv"])
+    assert code == 0
+    _, columns, rows = csv_body(out)
+    assert columns == ["k", "E", "kind", "a_re", "a_im", "b_re", "b_im"]
+    for k, (row, (e, a, b)) in enumerate(zip(rows, ROBIN_BOUND)):
+        assert row == [str(k), repr(e), "hyperbolic", *map(repr, a + b)]
+
+
 # ---------------------------------------------------------------------------
 # samplers through the CLI
 

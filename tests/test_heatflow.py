@@ -59,10 +59,9 @@ def test_theta3_periodicity_and_large_time():
 
 
 def test_theta3_rejects_bad_time():
-    with pytest.raises(ValueError):
-        hf.theta3(0.3, 0.0)
-    with pytest.raises(ValueError):
-        hf.theta3(0.3, -1.0)
+    for t in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            hf.theta3(0.3, t)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +125,10 @@ def test_family_c_matches_sine_expansion():
 def test_propagator_validation():
     with pytest.raises(ValueError):
         hf.heat_propagator("E", 1.0)
-    with pytest.raises(ValueError):
-        hf.heat_propagator("A", 0.0)
+    for family in ("A", "C"):
+        for t in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                hf.heat_propagator(family, t)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from scipy.special import jv, jvp
 
 from fermibox import kernels as kn
 from fermibox.boundary import make_boundary, make_preset
-from fermibox.spectral import EigenMode, Spectrum, eigenfunction_eval, solve_spectrum
+from fermibox.spectral import DECAY, LINEAR, TRIG, solve_spectrum
 from fermibox.thermo import fermi_factor, solve_lambda, solve_mu
 
 RNG = np.random.default_rng(523)
@@ -228,26 +228,32 @@ def test_finite_t_shells_equal_closed_formulas_bitwise():
         assert np.array_equal(periodic.energies, np.arange(-j, j + 1) ** 2.0)
 
 
+def solver_row(kind, energy, a, b, x):
+    """One solved mode from its scalars: w = sqrt(|E|), and for a bound
+    state (a, b) is the decaying pair (c1, c2)."""
+    if kind == TRIG:
+        w = float(np.sqrt(energy))
+        return a * np.cos(w * x) + b * np.sin(w * x)
+    if kind == LINEAR:
+        return a + b * x
+    assert kind == DECAY
+    k = float(np.sqrt(-energy))
+    return a * np.exp(-k * x) + b * np.exp(-k * (TWO_PI - x))
+
+
 def test_solver_families_equal_eigenfunction_eval_bitwise():
     custom_periodic = make_boundary(make_preset("periodic").matrix)
     for bc, n in ((make_preset("robin", -2.5), 20), (make_preset("delta", 1.0), 30),
                   (custom_periodic, 9)):
         spectrum = solve_spectrum(bc, count=n)
         fam = kn.ground_state_modes(spectrum, n)
+        scalars = list(zip(*(v.tolist() for v in (fam.kind, fam.energies, fam.a, fam.b))))
         for x in MODE_XS:
-            want = np.array([eigenfunction_eval(m, x) for m in spectrum.modes[:n]],
-                            dtype=complex)
+            want = np.array([solver_row(*row, x) for row in scalars], dtype=complex)
             assert np.array_equal(fam.eval_matrix(x), want), bc.label
-    kinds = {m.kind for m in solve_spectrum(make_preset("robin", -2.5), count=3).modes}
-    assert kinds == {"hyperbolic", "trig"}
-    assert solve_spectrum(custom_periodic, count=1).modes[0].kind == "linear"
-
-
-def test_hyperbolic_modes_without_decay_pair_rejected():
-    spectrum = solve_spectrum(make_preset("robin", -2.5), count=4)
-    modes = tuple(EigenMode(m.kind, m.energy, m.a, m.b) for m in spectrum.modes)
-    with pytest.raises(ValueError):
-        kn.ground_state_modes(Spectrum(spectrum.bc, modes, spectrum.e_max), 4)
+    kinds = set(solve_spectrum(make_preset("robin", -2.5), count=3).modes.kind.tolist())
+    assert kinds == {DECAY, TRIG}
+    assert solve_spectrum(custom_periodic, count=1).modes.kind[0] == LINEAR
 
 
 def test_sub_family_rows_equal_parent_rows():

@@ -51,20 +51,15 @@ class TestClosedFormSpectra:
         # sin((2k+1) x / 4) / sqrt(pi)
         sp = solve("zaremba", count=4)
         x = np.linspace(0.3, 6.0, 23)
-        for k, mode in enumerate(sp.modes):
+        for k, got in enumerate(sp.modes.eval_matrix(x)):
             expect = np.sin((2 * k + 1) * x / 4) / np.sqrt(np.pi)
-            got = fs.eigenfunction_eval(mode, x)
             assert_allclose(got, expect, atol=1e-9)
 
     def test_dirichlet_eigenfunctions(self):
         sp = solve("dirichlet", count=4)
         x = np.linspace(0.0, 2 * np.pi, 17)
-        for k, mode in enumerate(sp.modes, start=1):
-            assert_allclose(
-                fs.eigenfunction_eval(mode, x),
-                np.sin(k * x / 2) / np.sqrt(np.pi),
-                atol=1e-9,
-            )
+        for k, got in enumerate(sp.modes.eval_matrix(x), start=1):
+            assert_allclose(got, np.sin(k * x / 2) / np.sqrt(np.pi), atol=1e-9)
 
 
 class TestSecularOracles:
@@ -102,9 +97,9 @@ class TestModeInvariants:
     @pytest.mark.parametrize("name,params", CASES)
     def test_boundary_residuals(self, name, params):
         sp = solve(name, *params, count=14)
-        for mode in sp.modes:
-            res = fb.boundary_residual(sp.bc, fs.mode_boundary_data(mode))
-            assert res <= 1e-8 * (1 + np.sqrt(abs(mode.energy)))
+        for e, data in zip(sp.energies, zip(*fs.mode_boundary_data(sp))):
+            res = fb.boundary_residual(sp.bc, data)
+            assert res <= 1e-8 * (1 + np.sqrt(abs(e)))
 
     @pytest.mark.parametrize("name,params", CASES)
     def test_orthonormality(self, name, params):
@@ -117,14 +112,13 @@ class TestModeInvariants:
             bc = fb.make_boundary(random_unitary(rng))
             sp = fs.solve_spectrum(bc, count=12)
             assert fs.orthonormality_check(sp) < 1e-8
-            for mode in sp.modes:
-                res = fb.boundary_residual(bc, fs.mode_boundary_data(mode))
-                assert res <= 1e-7 * (1 + np.sqrt(abs(mode.energy)))
+            for e, data in zip(sp.energies, zip(*fs.mode_boundary_data(sp))):
+                res = fb.boundary_residual(bc, data)
+                assert res <= 1e-7 * (1 + np.sqrt(abs(e)))
             assert np.all(np.diff(sp.energies) > -1e-9)
 
     def test_modes_sorted_and_indexed(self):
         sp = solve("delta", -1.0, count=9)
-        assert [m.index for m in sp.modes] == list(range(9))
         assert np.all(np.diff(sp.energies) >= -1e-12)
 
 
@@ -140,9 +134,8 @@ class TestBoundStates:
         sp = solve("delta", -40.0, count=2)
         # kappa -> |c|/2 with exponentially small correction
         assert sp.energies[0] == pytest.approx(-400.0, abs=1e-6)
-        mode = sp.modes[0]
         x = np.linspace(0, 2 * np.pi, 101)
-        vals = fs.eigenfunction_eval(mode, x)
+        vals = sp.modes.eval_matrix(x)[0]
         assert np.all(np.isfinite(vals))
         # decays to nothing mid-box, peaks at the junction
         assert abs(vals[50]) < 1e-20
@@ -165,9 +158,9 @@ class TestBoundStates:
     def test_huge_repulsive_couplings_solve(self, name, param):
         # a coupling that cannot bind scans no bound states
         sp = solve(name, param, count=3)
-        for mode in sp.modes:
-            assert mode.kind == "trig"
-            assert fb.boundary_residual(sp.bc, fs.mode_boundary_data(mode)) <= 1e-8
+        assert np.all(sp.modes.kind == fs.TRIG)
+        for data in zip(*fs.mode_boundary_data(sp)):
+            assert fb.boundary_residual(sp.bc, data) <= 1e-8
 
 
 class TestDirichletRobin:
@@ -175,13 +168,13 @@ class TestDirichletRobin:
         alpha = np.pi / 2
         sp = solve("dirichlet_robin", alpha, count=6)
         c = np.tan(alpha / 2)
-        for mode in sp.modes:
-            w = mode.omega
+        assert np.all(sp.modes.kind == fs.TRIG)
+        for w, a, b in zip(sp.modes.w, sp.modes.a, sp.modes.b):
             assert np.tan(2 * np.pi * w) == pytest.approx(-w / c, abs=1e-8)
-            assert abs(mode.a) < 1e-10
+            assert abs(a) < 1e-10
             pred = np.sqrt(4 * w / (4 * np.pi * w - np.sin(4 * np.pi * w)))
-            assert abs(mode.b) == pytest.approx(pred, abs=1e-10)
-        assert 0.25 < sp.modes[0].omega < 0.5
+            assert abs(b) == pytest.approx(pred, abs=1e-10)
+        assert 0.25 < sp.modes.w[0] < 0.5
 
 
 class TestWeyl:
@@ -280,13 +273,12 @@ class TestTieProofPhases:
             assert_allclose(moved[tie], rows[tie], atol=1e-9)
 
     def test_solved_modes_carry_the_rule(self):
-        sp = solve("robin", -np.pi / 2, count=4)
-        bound = [m for m in sp.modes if m.kind == "hyperbolic"]
-        assert len(bound) == 2
-        for m in bound:
-            assert m.decay[0].real > 0 and m.decay[0].imag == 0.0
-        for m in solve("pseudo_periodic", 0.7, count=20).modes:
-            assert m.a.real > 0 and m.a.imag == 0.0
+        fam = solve("robin", -np.pi / 2, count=4).modes
+        c1 = fam.a[fam.kind == fs.DECAY]
+        assert len(c1) == 2
+        assert np.all(c1.real > 0) and np.all(c1.imag == 0.0)
+        fam = solve("pseudo_periodic", 0.7, count=20).modes
+        assert np.all(fam.a.real > 0) and np.all(fam.a.imag == 0.0)
 
 
 def test_mode_ceiling_raises_before_scanning():
