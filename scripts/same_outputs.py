@@ -9,15 +9,19 @@ job of the benchmark workload W (``benchmarks/jobs.build_jobs(W, N)``; all
 three workloads when W is not given) then runs once in each tree, as
 ``fermibox.cli.run(argv)`` in a fresh interpreter with single-thread BLAS
 and the same ``--out`` path, since every output file embeds its resolved
-configuration.  Each job's exit code, output sha256 and data sha256 are
-printed for both trees.  The data sha256 drops the config header first:
+configuration.  Each job then runs a second time in both trees with the
+``--format`` it does not default to: csv when the base tree's first output
+starts with ``{``, json otherwise.  (The figure jobs are CSV only, so they
+exit 1 under ``--format json`` in both trees, which counts as the same.)
+Each run's exit code, output sha256 and data sha256 are printed for both
+trees, both formats on the job's line.  The data sha256 drops the config header first:
 the ``# config:`` and ``# config_hash:`` lines of a CSV file, the
 ``config`` and ``config_hash`` keys of a JSON one.  So a change that only
 adds or removes flags shows the same data.  When a job's data differ, the
 largest absolute and relative difference over its numeric fields is printed
 too (relative to the larger magnitude of the pair), or why the two outputs
 cannot be compared field by field.  The exit status is 1 if any job's exit
-code or output bytes differ, 0 otherwise.
+code or output bytes differ in either format, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -95,6 +99,21 @@ def run_job(tree: str, argv: list[str], out: str) -> tuple[int, str, str, bytes]
     return code, hashlib.sha256(raw).hexdigest(), hashlib.sha256(data).hexdigest(), data
 
 
+def compare(base: str, argv: list[str]) -> tuple[bool, bool, str, bytes]:
+    """Run one command line in both trees: (same bytes, same data, report,
+    the base tree's data)."""
+    out = argv[argv.index("--out") + 1]
+    old, new = run_job(base, argv, out), run_job(ROOT, argv, out)
+    same, same_data = old[:3] == new[:3], (old[0], old[2]) == (new[0], new[2])
+    label = "same" if same else "same data" if same_data else "DIFF"
+    detail = ""
+    if not same_data and old[3] and new[3]:
+        detail = f", {largest_difference(old[3], new[3])}"
+    return (same, same_data,
+            f"{label}: base exit {old[0]} {old[1]} data {old[2]}, "
+            f"head exit {new[0]} {new[1]} data {new[2]}{detail}", old[3])
+
+
 def export(rev: str, dest: str) -> None:
     """Write the files of revision `rev` into the new directory `dest`."""
     os.makedirs(dest)
@@ -126,19 +145,16 @@ def main() -> int:
         for workload in workloads:
             for job in build_jobs(workload, args.seed):
                 argv = job.command(os.path.join(tmp, "out"))
-                old = run_job(base, argv, argv[-1])
-                new = run_job(ROOT, argv, argv[-1])
-                same = old[:3] == new[:3]
-                same_data = (old[0], old[2]) == (new[0], new[2])
+                first = compare(base, argv)
+                other = "csv" if first[3].startswith(b"{") else "json"
+                second = compare(base, argv + ["--format", other])
+                same = first[0] and second[0]
+                same_data = first[1] and second[1]
                 mismatches += not same
                 data_mismatches += not same_data
                 label = "same" if same else "same data" if same_data else "DIFF"
-                detail = ""
-                if not same_data and old[3] and new[3]:
-                    detail = f"; {largest_difference(old[3], new[3])}"
-                print(f"{label} {workload}/{job.name}: "
-                      f"base exit {old[0]} {old[1]} data {old[2]}, "
-                      f"head exit {new[0]} {new[1]} data {new[2]}{detail}", flush=True)
+                print(f"{label} {workload}/{job.name}: default {first[2]}; "
+                      f"--format {other} {second[2]}", flush=True)
     print(f"{mismatches} job(s) differ, {data_mismatches} in their data")
     return 1 if mismatches else 0
 

@@ -17,6 +17,7 @@ import numpy as np
 from .boundary import BoundaryMatrix, make_preset
 from .kernels import (
     Kernel,
+    _spec_variant,
     finite_t_kernel,
     ground_state_kernel,
     kernel_finite_t_sine,
@@ -321,7 +322,7 @@ def _limit_form(limit) -> tuple[str, dict]:
         inner = limit.get("Limit", limit)
     else:
         raise ValueError(f"cannot read a limit spec from {limit!r}")
-    (tag, cfg), = inner.items()
+    tag, cfg = _spec_variant(inner, "limit spec")
     return tag, dict(cfg)
 
 
@@ -373,6 +374,7 @@ def edge_scaling_study(bc, x0: float, limit, sizes, grid=None) -> ScalingReport:
         raise ValueError(
             f"boundary {name!r} at edge {'0' if side == 0 else '2*pi'} is "
             f"{klass}-type and does not pair with limit {tag!r}")
+    target = parse_kernel_spec({"Limit": {tag: cfg}})
     coupling = _class_coupling(klass, params)
     if coupling is not None:
         want = float(cfg["c"])
@@ -386,7 +388,7 @@ def edge_scaling_study(bc, x0: float, limit, sizes, grid=None) -> ScalingReport:
         x = TWO_PI * u / n if side == 0 else TWO_PI - TWO_PI * u / n
         return ground_state_kernel(_sized_preset(name, params, n), n), x, TWO_PI / n
 
-    return _scaling_study(sizes, u, parse_kernel_spec({"Limit": {tag: cfg}}), rescaling)
+    return _scaling_study(sizes, u, target, rescaling)
 
 
 def finite_t_bulk_study(c: float, sizes, grid=None) -> ScalingReport:

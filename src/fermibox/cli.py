@@ -1,10 +1,11 @@
 """Command line frontend for the library.
 
-Every subcommand writes machine-readable output (CSV with '#'-prefixed
-header lines, or JSON with sorted keys) and embeds its fully resolved
-configuration plus a short hash of it, so any output file identifies the
-run that produced it.  Randomized subcommands are deterministic for a
-fixed --seed.
+Every subcommand handler returns one `Result`, which `run` writes once as
+machine-readable output (CSV with '#'-prefixed header lines, or JSON with
+sorted keys) in the subcommand's default format or the one --format asks
+for.  The output embeds the fully resolved configuration plus a short hash
+of it, so any output file identifies the run that produced it.  Randomized
+subcommands are deterministic for a fixed --seed.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 a
 verification run that finished but missed its committed baseline.
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (bin_average, bulk_scaling_study, edge_scaling_study,
+from .analysis import (_limit_form, bin_average, bulk_scaling_study, edge_scaling_study,
                        estimate_pair_correlation, finite_t_bulk_study)
 from .baselines import compare_to_baseline, edge_key, study_key
 from .boundary import BoundaryMatrix, make_preset
@@ -96,39 +97,44 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _write_text(text: str, out: str | None) -> None:
-    if out is None:
+@dataclass(frozen=True)
+class Result:
+    """A handler's output in both formats: the JSON body (None if CSV only;
+    numpy arrays become lists) and the CSV columns, rows and '#' notes."""
+
+    default: str
+    payload: dict | None
+    columns: tuple = ()
+    rows: object = ()
+    notes: tuple = ()
+    code: int = EXIT_OK
+
+
+def _write(result: Result, args: argparse.Namespace) -> int:
+    cfg = RunConfig.from_args(args)
+    if (args.format or result.default) == "json":
+        doc = {"config": cfg.as_dict(), "config_hash": cfg.hash, **result.payload}
+        text = json.dumps(doc, sort_keys=True, indent=2, default=lambda a: a.tolist()) + "\n"
+    else:
+        lines = [f"# fermibox {cfg.command}",
+                 f"# config: {json.dumps(cfg.as_dict(), sort_keys=True)}",
+                 f"# config_hash: {cfg.hash}"]
+        lines.extend(f"# {note}" for note in result.notes)
+        if result.columns:
+            lines.append(",".join(result.columns))
+        rows = result.rows
+        if isinstance(rows, np.ndarray) and rows.dtype == float:
+            # repr is what _fmt writes for a float, without its per-value dispatch
+            lines.extend(",".join(map(repr, row)) for row in rows.tolist())
+        else:
+            lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        text = "\n".join(lines) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _emit_json(payload: dict, args: argparse.Namespace) -> None:
-    cfg = RunConfig.from_args(args)
-    doc = {"config": cfg.as_dict(), "config_hash": cfg.hash, **payload}
-    _write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
-
-
-def _emit_csv(columns, rows, args: argparse.Namespace, notes=()) -> None:
-    """Write rows, a sequence of tuples or a 2-D float array, as CSV."""
-    cfg = RunConfig.from_args(args)
-    lines = [f"# fermibox {cfg.command}",
-             f"# config: {json.dumps(cfg.as_dict(), sort_keys=True)}",
-             f"# config_hash: {cfg.hash}"]
-    lines.extend(f"# {note}" for note in notes)
-    if columns:
-        lines.append(",".join(columns))
-    if isinstance(rows, np.ndarray) and rows.dtype == float:
-        # repr is what _fmt writes for a float, without its per-value dispatch
-        lines.extend(",".join(map(repr, row)) for row in rows.tolist())
-    else:
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _write_text("\n".join(lines) + "\n", args.out)
-
-
-def _format(args: argparse.Namespace, default: str) -> str:
-    return args.format or default
+    return result.code
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +236,7 @@ def _parse_spec(text: str) -> dict:
 _KIND_NAMES = {TRIG: "trig", LINEAR: "linear", DECAY: "hyperbolic"}
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
+def _cmd_spectrum(args: argparse.Namespace) -> Result:
     if (args.count is None) == (args.emax is None):
         raise UsageError("give exactly one of --count, --emax")
     bc = _parse_bc(args.bc)
@@ -243,64 +249,47 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     c1, c2 = fam.a[hyp], fam.b[hyp] * np.exp(-2.0 * np.pi * fam.w[hyp])
     a, b = fam.a.copy(), fam.b.copy()
     a[hyp], b[hyp] = c1 + c2, c2 - c1
-    modes = [{"k": k, "E": e, "kind": _KIND_NAMES[c],
-              "a": [ak.real, ak.imag], "b": [bk.real, bk.imag]}
-             for k, (e, c, ak, bk) in enumerate(zip(fam.energies.tolist(), fam.kind.tolist(),
-                                                    a.tolist(), b.tolist()))]
-    if _format(args, "json") == "json":
-        _emit_json({"bc": json.loads(boundary_to_json(bc)), "modes": modes},
-                   args)
-    else:
-        rows = [(m["k"], m["E"], m["kind"], m["a"][0], m["a"][1],
-                 m["b"][0], m["b"][1]) for m in modes]
-        _emit_csv(("k", "E", "kind", "a_re", "a_im", "b_re", "b_im"), rows,
-                  args, notes=(f"bc: {boundary_to_json(bc)}",
-                               "E in units of the box quarter-wavenumber "
-                               "squared"))
-    return EXIT_OK
+    rows = [(k, e, _KIND_NAMES[c], ak.real, ak.imag, bk.real, bk.imag)
+            for k, (e, c, ak, bk) in enumerate(zip(fam.energies.tolist(), fam.kind.tolist(),
+                                                   a.tolist(), b.tolist()))]
+    modes = [{"k": k, "E": e, "kind": kind, "a": [ar, ai], "b": [br, bi]}
+             for k, e, kind, ar, ai, br, bi in rows]
+    bc_json = boundary_to_json(bc)
+    return Result("json", {"bc": json.loads(bc_json), "modes": modes},
+                  ("k", "E", "kind", "a_re", "a_im", "b_re", "b_im"), rows,
+                  (f"bc: {bc_json}", "E in units of the box quarter-wavenumber squared"))
 
 
-def _cmd_kernel_eval(args: argparse.Namespace) -> int:
+def _cmd_kernel_eval(args: argparse.Namespace) -> Result:
     kern = parse_kernel_spec(_parse_spec(args.spec))
     xs, ys = _parse_grid2(args.grid)
     vals = np.asarray(kern(xs[:, None], ys[None, :]), dtype=complex)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    rows = np.column_stack([gx.ravel(), gy.ravel(), vals.real.ravel(),
-                            vals.imag.ravel()])
-    if _format(args, "csv") == "csv":
-        _emit_csv(("x", "y", "re", "im"), rows, args,
-                  notes=(f"spec: {json.dumps(kernel_spec(kern), sort_keys=True)}",))
-    else:
-        _emit_json({"spec": kernel_spec(kern),
-                    "columns": ["x", "y", "re", "im"], "rows": rows.tolist()}, args)
-    return EXIT_OK
+    rows = np.column_stack([gx.ravel(), gy.ravel(), vals.real.ravel(), vals.imag.ravel()])
+    spec = kernel_spec(kern)
+    columns = ("x", "y", "re", "im")
+    return Result("csv", {"spec": spec, "columns": list(columns), "rows": rows},
+                  columns, rows, (f"spec: {json.dumps(spec, sort_keys=True)}",))
 
 
-def _cmd_mu_solve(args: argparse.Namespace) -> int:
+def _cmd_mu_solve(args: argparse.Namespace) -> Result:
     if args.t <= 0:
         raise UsageError("temperature must be positive")
     bc = _parse_bc(args.bc)
     energies = solve_spectrum(bc, count=args.modes).energies
     mu = solve_mu(energies, args.t, args.target)
     residual = float(np.sum(fermi_factor(energies, args.t, mu)) - args.target)
-    if _format(args, "json") == "json":
-        _emit_json({"mu": mu, "residual": residual}, args)
-    else:
-        _emit_csv(("mu", "residual"), [(mu, residual)], args)
-    return EXIT_OK
+    return Result("json", {"mu": mu, "residual": residual}, ("mu", "residual"), [(mu, residual)])
 
 
-def _cmd_lambda_solve(args: argparse.Namespace) -> int:
+def _cmd_lambda_solve(args: argparse.Namespace) -> Result:
     lam = solve_lambda(args.c)
     residual = float(polylog_half(lam) + 2.0 / np.sqrt(np.pi * args.c))
-    if _format(args, "json") == "json":
-        _emit_json({"lambda": lam, "residual": residual}, args)
-    else:
-        _emit_csv(("lambda", "residual"), [(lam, residual)], args)
-    return EXIT_OK
+    return Result("json", {"lambda": lam, "residual": residual},
+                  ("lambda", "residual"), [(lam, residual)])
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
+def _cmd_sample(args: argparse.Namespace) -> Result:
     if args.samples < 1:
         raise UsageError("need at least one sample")
     rng = make_rng(RngSpec(args.seed))
@@ -308,12 +297,12 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         group = "U" if args.kind == "haar-u" else "SO"
         if args.n is None:
             raise UsageError("--n (matrix size) is required for Haar kinds")
-        draws = list(haar_eigenangles(group, args.n, args.samples, rng))
+        draws = haar_eigenangles(group, args.n, args.samples, rng)
     elif args.kind == "dpp":
         if args.bc is None or args.n is None:
             raise UsageError("--kind dpp needs --bc and --n")
         family = ground_state_modes(_parse_bc(args.bc), args.n)
-        draws = list(sample_projection_many(family, args.samples, rng))
+        draws = sample_projection_many(family, args.samples, rng)
     else:  # gc
         if args.bc is None or args.t is None:
             raise UsageError("--kind gc needs --bc and --t")
@@ -325,46 +314,29 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             energies = solve_spectrum(bc, count=args.modes).energies
             mu = solve_mu(energies, args.t, args.target)
         family = finite_t_modes(bc, args.t, mu)
-        draws = sample_grand_canonical_many(family, args.t, mu,
-                                            args.samples, rng)
-    if _format(args, "csv") == "csv":
-        _emit_csv((), draws, args,
-                  notes=("one configuration per row, sorted, variable "
-                         "length",))
-    else:
-        _emit_json({"configurations": [list(map(float, d)) for d in draws]},
-                   args)
-    return EXIT_OK
+        draws = sample_grand_canonical_many(family, args.t, mu, args.samples, rng)
+    return Result("csv", {"configurations": draws}, (), draws,
+                  ("one configuration per row, sorted, variable length",))
 
 
-def _cmd_km_density(args: argparse.Namespace) -> int:
+def _cmd_km_density(args: argparse.Namespace) -> Result:
     points = _parse_points(args.points)
     log_weight, sign = km_log_density(args.family, args.t, points)
-    if _format(args, "json") == "json":
-        _emit_json({"log_weight": log_weight, "sign": sign}, args)
-    else:
-        _emit_csv(("log_weight", "sign"), [(log_weight, sign)], args)
-    return EXIT_OK
+    return Result("json", {"log_weight": log_weight, "sign": sign},
+                  ("log_weight", "sign"), [(log_weight, sign)])
 
 
-def _cmd_km_mcmc(args: argparse.Namespace) -> int:
+def _cmd_km_mcmc(args: argparse.Namespace) -> Result:
     rng = make_rng(RngSpec(args.seed))
     chain, rate = km_mcmc(args.family, args.t, args.n, args.steps, rng,
                           step=args.step, thin=args.thin, burn=args.burn)
-    rows = [(args.burn + i * args.thin, rate, *row)
-            for i, row in enumerate(chain)]
-    if _format(args, "csv") == "csv":
-        columns = ("step", "acceptance",
-                   *(f"x{i + 1}" for i in range(args.n)))
-        _emit_csv(columns, rows, args,
-                  notes=("acceptance is the whole-chain rate",))
-    else:
-        _emit_json({"acceptance": rate,
-                    "chain": [list(map(float, r)) for r in chain]}, args)
-    return EXIT_OK
+    rows = [(args.burn + i * args.thin, rate, *row) for i, row in enumerate(chain)]
+    columns = ("step", "acceptance", *(f"x{i + 1}" for i in range(args.n)))
+    return Result("csv", {"acceptance": rate, "chain": chain}, columns, rows,
+                  ("acceptance is the whole-chain rate",))
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Result:
     grid = _parse_axis(args.grid) if args.grid else None
     sizes = _parse_sizes(args.sizes)
     if args.study == "finite-t":
@@ -385,32 +357,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         bc = _parse_bc(args.bc)
         x0 = _parse_x0(args.x0 or "0")
         limit = _parse_spec(args.limit)
+        tag, _ = _limit_form(limit)
         report = edge_scaling_study(bc, x0, limit, sizes, grid=grid)
-        inner = limit.get("Limit", limit)
-        (tag,) = tuple(inner.keys())
         kind, key = "edge", edge_key(bc.label, bc.params, x0, tag)
     verdict = compare_to_baseline(kind, key, report)
-    payload = {"study": args.study, "key": key,
-               "sizes": list(report.sizes),
-               "distances": list(report.distances),
-               "fitted_rate": report.fitted_rate,
-               "baseline": verdict,
-               "passed": verdict["passed"]}
-    if _format(args, "json") == "json":
-        _emit_json(payload, args)
-    else:
-        rows = [(c["size"], c["distance"], c["bound"],
-                 str(bool(c["ok"])).lower()) for c in verdict["checks"]]
-        _emit_csv(("size", "distance", "bound", "ok"), rows, args,
-                  notes=(f"key: {key}", f"passed: {verdict['passed']}"))
-    return EXIT_OK if verdict["passed"] else EXIT_BASELINE
+    payload = {"study": args.study, "key": key, "sizes": report.sizes,
+               "distances": report.distances, "fitted_rate": report.fitted_rate,
+               "baseline": verdict, "passed": verdict["passed"]}
+    rows = [(c["size"], c["distance"], c["bound"], c["ok"]) for c in verdict["checks"]]
+    return Result("json", payload, ("size", "distance", "bound", "ok"), rows,
+                  (f"key: {key}", f"passed: {verdict['passed']}"),
+                  EXIT_OK if verdict["passed"] else EXIT_BASELINE)
 
 
 # ---------------------------------------------------------------------------
 # figure reproduction
 
 
-def _figure_density(args: argparse.Namespace) -> None:
+def _figure_density(args: argparse.Namespace) -> Result:
     n = 7
     bc = make_preset("dirichlet_robin", np.pi / 2.0)
     kern = ground_state_kernel(bc, n)
@@ -424,14 +388,14 @@ def _figure_density(args: argparse.Namespace) -> None:
     curve0 = scale * np.asarray(hard(u0, u0))
     curve1 = scale * np.asarray(elastic(u1, u1))
     rows = list(zip(xs, density, curve0, curve1))
-    _emit_csv(("x", "density", "dirichlet_edge", "robin_edge"), rows, args,
-              notes=("density of the 7-fermion ground state with an "
-                     "absorbing left wall and an elastic right wall",
-                     "edge columns are the two limit-curve overlays in "
-                     "unrescaled units"))
+    return Result("csv", None, ("x", "density", "dirichlet_edge", "robin_edge"), rows,
+                  ("density of the 7-fermion ground state with an "
+                   "absorbing left wall and an elastic right wall",
+                   "edge columns are the two limit-curve overlays in "
+                   "unrescaled units"))
 
 
-def _figure_two_point(args: argparse.Namespace) -> None:
+def _figure_two_point(args: argparse.Namespace) -> Result:
     n, lam = 10, 10.0
     c = 4.0 / (np.pi * polylog_half(lam) ** 2)
     t = c * n * n
@@ -463,23 +427,21 @@ def _figure_two_point(args: argparse.Namespace) -> None:
                 for s, v in zip(s_fine, pair_density(fts, s_fine)))
     rows.extend(("sine", s, v, None, None)
                 for s, v in zip(s_fine, pair_density(sine, s_fine)))
-    _emit_csv(("kind", "s", "value", "stderr", "reference"), rows, args,
-              notes=("two-point function of the thermal circle gas, "
-                     "separation in mean-spacing units",
-                     f"scaled temperature c={repr(c)}, fugacity "
-                     f"lambda={repr(lam)}, {args.samples} draws",
-                     "empirical rows carry the bin-averaged reference "
-                     "curve value"))
+    return Result("csv", None, ("kind", "s", "value", "stderr", "reference"), rows,
+                  ("two-point function of the thermal circle gas, "
+                   "separation in mean-spacing units",
+                   f"scaled temperature c={repr(c)}, fugacity "
+                   f"lambda={repr(lam)}, {args.samples} draws",
+                   "empirical rows carry the bin-averaged reference "
+                   "curve value"))
 
 
-def _cmd_reproduce_figure(args: argparse.Namespace) -> int:
+def _cmd_reproduce_figure(args: argparse.Namespace) -> Result:
     if args.format == "json":
         raise UsageError("figure data is CSV only")
     if args.which == "dirichlet_robin_density":
-        _figure_density(args)
-    else:
-        _figure_two_point(args)
-    return EXIT_OK
+        return _figure_density(args)
+    return _figure_two_point(args)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +600,7 @@ def run(argv=None) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.handler(args)
+        return _write(args.handler(args), args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -23,6 +23,7 @@ boundary condition takes the solver's family as it comes.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -481,16 +482,44 @@ def delta_line_projection(c: float, e: float) -> Kernel:
 # serialization
 
 
+# limit variant -> (builder, the numeric fields it takes, in order)
 _LIMIT_BUILDERS = {
-    "Sine": lambda cfg: kernel_sine(),
-    "BesselMinus": lambda cfg: kernel_bessel(-1),
-    "BesselPlus": lambda cfg: kernel_bessel(+1),
-    "RobinEdge": lambda cfg: kernel_robin_edge(cfg["c"]),
-    "DeltaEdge": lambda cfg: kernel_delta_edge(cfg["c"]),
-    "FiniteTSine": lambda cfg: kernel_finite_t_sine(cfg["c"], cfg["lam"]),
-    "HalfLineRobin": lambda cfg: half_line_robin_projection(cfg["c"], cfg["e"]),
-    "DeltaLine": lambda cfg: delta_line_projection(cfg["c"], cfg["e"]),
+    "Sine": (kernel_sine, ()),
+    "BesselMinus": (lambda: kernel_bessel(-1), ()),
+    "BesselPlus": (lambda: kernel_bessel(+1), ()),
+    "RobinEdge": (kernel_robin_edge, ("c",)),
+    "DeltaEdge": (kernel_delta_edge, ("c",)),
+    "FiniteTSine": (kernel_finite_t_sine, ("c", "lam")),
+    "HalfLineRobin": (half_line_robin_projection, ("c", "e")),
+    "DeltaLine": (delta_line_projection, ("c", "e")),
 }
+
+
+def _spec_variant(obj, what: str) -> tuple[str, dict]:
+    """The one (tag, fields) pair of a tagged spec object such as {"Sine": {}}."""
+    if not isinstance(obj, dict) or len(obj) != 1:
+        raise ValueError(f"{what} must carry exactly one variant")
+    (tag, cfg), = obj.items()
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{what} {tag!r} must hold an object of fields")
+    return tag, cfg
+
+
+def _spec_field(cfg: dict, name: str, kind: str | None = "a number"):
+    """Field `name` of a spec, checked to be `kind`: "a number", "an integer",
+    "a boundary condition", or anything for None."""
+    if name not in cfg:
+        raise ValueError(f"kernel spec is missing field {name!r}")
+    value = cfg[name]
+    if kind == "a boundary condition":
+        try:
+            _source_to_bc(value)
+        except (KeyError, TypeError) as err:
+            raise ValueError(f"kernel spec field {name!r} is not {kind}: {err!r}") from None
+    elif kind is not None and (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                               or kind == "an integer" and value % 1 != 0):
+        raise ValueError(f"kernel spec field {name!r} must be {kind}, got {value!r}")
+    return value
 
 
 def parse_kernel_spec(obj) -> Kernel:
@@ -499,28 +528,27 @@ def parse_kernel_spec(obj) -> Kernel:
     {"Limit": {...}}, {"Group": {"G": .., "N": ..}},
     {"GroundState": {"source": .., "N": ..}},
     {"FiniteT": {"source": .., "T": .., "mu": ..}}.
+    A malformed spec, a missing field or an ill-typed one is a ValueError.
     """
     if isinstance(obj, str):
         import json
 
         obj = json.loads(obj)
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise ValueError("kernel spec must be a single-key tagged object")
-    (tag, cfg), = obj.items()
+    tag, cfg = _spec_variant(obj, "kernel spec")
     if tag == "Limit":
-        if len(cfg) != 1:
-            raise ValueError("limit spec must carry exactly one variant")
-        (variant, params), = cfg.items()
-        try:
-            return _LIMIT_BUILDERS[variant](params)
-        except KeyError:
-            raise ValueError(f"unknown limit kernel {variant!r}") from None
+        variant, params = _spec_variant(cfg, "limit spec")
+        if variant not in _LIMIT_BUILDERS:
+            raise ValueError(f"unknown limit kernel {variant!r}")
+        build, names = _LIMIT_BUILDERS[variant]
+        return build(*(_spec_field(params, name) for name in names))
     if tag == "Group":
-        return group_kernel(cfg["G"], int(cfg["N"]))
+        return group_kernel(_spec_field(cfg, "G", None), int(_spec_field(cfg, "N", "an integer")))
     if tag == "GroundState":
-        return ground_state_kernel(cfg["source"], int(cfg["N"]))
+        return ground_state_kernel(_spec_field(cfg, "source", "a boundary condition"),
+                                   int(_spec_field(cfg, "N", "an integer")))
     if tag == "FiniteT":
-        return finite_t_kernel(cfg["source"], float(cfg["T"]), float(cfg["mu"]))
+        return finite_t_kernel(_spec_field(cfg, "source", "a boundary condition"),
+                               float(_spec_field(cfg, "T")), float(_spec_field(cfg, "mu")))
     raise ValueError(f"unknown kernel tag {tag!r}")
 
 

@@ -90,6 +90,20 @@ def test_verify_finite_t_passes_against_committed_baseline():
 # exit code contract
 
 
+# each malformed spec with the field or fault its usage error must name
+MALFORMED_SPECS = {
+    '{"Group":{"G":"U"}}': "missing field 'N'",
+    '{"FiniteT":{"source":"periodic","T":1}}': "missing field 'mu'",
+    '{"GroundState":{"source":5,"N":3}}': "field 'source'",
+    '{"GroundState":{"source":{"x":1},"N":3}}': "'preset'",
+    '{"Limit":{"RobinEdge":{}}}': "missing field 'c'",
+    '{"Group":{"G":"U","N":2.5}}': "field 'N' must be an integer",
+    '{"Limit":{"DeltaEdge":{"c":"x"}}}': "field 'c' must be a number",
+    '{"Group":5}': "'Group' must hold an object",
+    '{"Limit":{}}': "limit spec must carry exactly one variant",
+}
+
+
 def test_exit_codes_usage_numerical_baseline():
     cases = [
         (["spectrum", "--bc", "dirichlet", "--count", "2", "--bogus"], 1),
@@ -145,10 +159,28 @@ def test_exit_codes_usage_numerical_baseline():
         # removed flags
         (["spectrum", "--bc", "dirichlet", "--count", "2", "--threads", "2"], 1),
         (["sample", "--kind", "haar-u", "--n", "3", "--group", "U"], 1),
+        # malformed kernel and limit specs are usage errors, never tracebacks
+        *((["kernel", "eval", "--spec", spec, "--grid", "0:1:2,0:1:2"], 1)
+          for spec in MALFORMED_SPECS),
+        (["verify", "--study", "edge", "--bc", "dirichlet",
+          "--limit", '{"Limit":{}}'], 1),
+        (["verify", "--study", "edge", "--bc", "robin:1", "--sizes", "25,50",
+          "--limit", '{"Limit":{"RobinEdge":{}}}'], 1),
     ]
     for argv, want in cases:
         code, _, err = run_cli(argv)
         assert code == want, (argv, err)
+
+
+def test_malformed_specs_name_their_fault():
+    for spec, message in MALFORMED_SPECS.items():
+        code, out, err = run_cli(["kernel", "eval", "--spec", spec, "--grid", "0:1:2,0:1:2"])
+        assert (code, out) == (1, ""), spec
+        assert err.startswith("usage error: ") and message in err, (spec, err)
+    code, _, err = run_cli(["verify", "--study", "edge", "--bc", "dirichlet",
+                            "--limit", '{"Limit":{}}'])
+    assert code == 1
+    assert err == "usage error: limit spec must carry exactly one variant\n"
 
 
 def test_help_exits_zero():
@@ -232,6 +264,74 @@ def test_out_flag_writes_the_same_payload(tmp_path):
     doc = json.loads(target.read_text())
     assert len(doc["modes"]) == 4
     assert doc["modes"][0]["E"] == pytest.approx(0.0, abs=1e-10)
+
+
+def _text(v):
+    """A JSON value as the CSV writer prints it; for floats this is bitwise."""
+    if isinstance(v, bool):
+        return str(v).lower()
+    return repr(v) if isinstance(v, float) else str(v)
+
+
+def _csv_and_json(argv):
+    """(notes, rows as text, config_hash) of the CSV run and the JSON document."""
+    code, csv_out, _ = run_cli(argv + ["--format", "csv"])
+    assert code == 0, argv
+    code, json_out, _ = run_cli(argv + ["--format", "json"])
+    assert code == 0, argv
+    comments, _, rows = csv_body(csv_out)
+    notes = dict(c[2:].split(": ", 1) for c in comments if ": " in c)
+    rows = [[] if r == [""] else r for r in rows]
+    return notes, rows, notes.pop("config_hash"), json.loads(json_out)
+
+
+def test_csv_and_json_carry_the_same_numbers():
+    def same(rows, values):
+        assert rows == [[_text(v) for v in row] for row in values]
+
+    notes, rows, digest, doc = _csv_and_json(["spectrum", "--bc", "robin:-2.5", "--count", "4"])
+    same(rows, [(m["k"], m["E"], m["kind"], *m["a"], *m["b"]) for m in doc["modes"]])
+    assert [m["kind"] for m in doc["modes"]].count("hyperbolic") == 2
+    assert json.loads(notes["bc"]) == doc["bc"] and digest == doc["config_hash"]
+
+    notes, rows, digest, doc = _csv_and_json(
+        ["kernel", "eval", "--spec",
+         '{"GroundState":{"source":{"preset":"robin","params":[1.0]},"N":3}}',
+         "--grid", "-1:6:4,0:6:3"])
+    same(rows, doc["rows"])
+    assert json.loads(notes["spec"]) == doc["spec"] and digest == doc["config_hash"]
+
+    for argv, keys in ((["mu-solve", "--bc", "periodic", "--t", "4", "--target", "5"],
+                        ("mu", "residual")),
+                       (["lambda-solve", "--c", "0.3"], ("lambda", "residual")),
+                       (["km", "density", "--family", "A", "--t", "1",
+                         "--points", "1.0,2.5,4.0"], ("log_weight", "sign"))):
+        _, rows, digest, doc = _csv_and_json(argv)
+        same(rows, [[doc[k] for k in keys]])
+        assert digest == doc["config_hash"]
+
+    for argv in (["sample", "--kind", "dpp", "--bc", "dirichlet", "--n", "4",
+                  "--samples", "3", "--seed", "21"],
+                 ["sample", "--kind", "gc", "--bc", "periodic", "--t", "2",
+                  "--target", "2", "--samples", "12", "--seed", "5"]):
+        _, rows, digest, doc = _csv_and_json(argv)
+        same(rows, doc["configurations"])
+        assert len(rows) == int(argv[-3]) and digest == doc["config_hash"]
+    assert min(map(len, rows)) != max(map(len, rows))
+
+    _, rows, digest, doc = _csv_and_json(
+        ["km", "mcmc", "--family", "C", "--t", "0.5", "--n", "3", "--steps", "60",
+         "--thin", "20", "--burn", "5", "--seed", "3"])
+    same(rows, [(5 + 20 * i, doc["acceptance"], *r) for i, r in enumerate(doc["chain"])])
+    assert len(rows) == 3 and digest == doc["config_hash"]
+
+    notes, rows, digest, doc = _csv_and_json(
+        ["verify", "--study", "finite-t", "--c", "1", "--sizes", "25,50"])
+    checks = doc["baseline"]["checks"]
+    same(rows, [(c["size"], c["distance"], c["bound"], c["ok"]) for c in checks])
+    assert [c["distance"] for c in checks] == doc["distances"]
+    assert notes["key"] == doc["key"] and notes["passed"] == str(doc["passed"])
+    assert digest == doc["config_hash"]
 
 
 # ---------------------------------------------------------------------------
