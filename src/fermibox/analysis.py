@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+PAIR_BLOCK = 2 ** 16   # ordered pairs binned at once by the pair estimator
 
 
 def default_bulk_grid() -> np.ndarray:
@@ -107,6 +108,16 @@ def _clean_samples(samples, minimum: int) -> list[np.ndarray]:
     return configs
 
 
+def _bin_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The np.histogram bin of each value, -1 where np.histogram drops it:
+    bins are half-open except the last, which holds its right edge."""
+    nb = edges.size - 1
+    idx = np.searchsorted(edges, values, side="right") - 1
+    idx[values == edges[-1]] = nb - 1
+    idx[idx >= nb] = -1
+    return idx
+
+
 def estimate_density(samples, bins, support: tuple[float, float] = (0.0, TWO_PI),
                      ) -> CorrelationEstimate:
     """Histogram estimate of the one-point function with Poisson errors.
@@ -117,9 +128,8 @@ def estimate_density(samples, bins, support: tuple[float, float] = (0.0, TWO_PI)
     """
     configs = _clean_samples(samples, 100)
     edges = _as_edges(bins, support)
-    counts = np.zeros(edges.size - 1)
-    for pts in configs:
-        counts += np.histogram(pts, bins=edges)[0]
+    idx = _bin_index(np.concatenate(configs), edges)
+    counts = np.bincount(idx[idx >= 0], minlength=edges.size - 1).astype(float)
     width = np.diff(edges)
     m = len(configs)
     values = counts / (m * width)
@@ -155,21 +165,36 @@ def _pair_estimate(configs, bins, support: tuple[float, float],
     width = np.diff(edges)
     length = float(support[1]) - float(support[0])
     nb = edges.size - 1
-    counts = np.zeros(nb if reduced else (nb, nb))
+    counts = np.zeros(nb if reduced else nb * nb)
     squares = np.zeros_like(counts)
-    for pts in configs:
-        if pts.size < 2:
-            continue
+    sizes = np.array([pts.size for pts in configs])
+    # per-draw counts from one bincount over (draw, bin) per block of about
+    # PAIR_BLOCK ordered pairs
+    block = np.cumsum(sizes ** 2) // PAIR_BLOCK
+    for g in np.unique(block):
+        sel = np.flatnonzero(block == g)
+        k = sizes[sel]
+        pts = np.concatenate([configs[d] for d in sel])
+        owner = np.repeat(np.arange(len(sel)), k)
+        # every ordered pair (i, j) of positions within one draw
+        reps = np.repeat(k, k)
+        i = np.repeat(np.arange(pts.size), reps)
+        j = np.repeat(np.repeat(np.cumsum(k) - k, k), reps) + np.arange(i.size) \
+            - np.repeat(np.cumsum(reps) - reps, reps)
         if reduced:
-            sep = (pts[:, None] - pts[None, :]) % length
-            h = np.histogram(sep[~np.eye(pts.size, dtype=bool)], bins=edges)[0]
+            i, j = i[i != j], j[i != j]
+            idx = _bin_index((pts[i] - pts[j]) % length, edges)
         else:
-            xi = np.repeat(pts, pts.size)
-            yj = np.tile(pts, pts.size)
-            keep = xi != yj
-            h = np.histogram2d(xi[keep], yj[keep], bins=(edges, edges))[0]
-        counts += h
-        squares += h.astype(float) ** 2
+            i, j = i[pts[i] != pts[j]], j[pts[i] != pts[j]]
+            ix, iy = _bin_index(pts[i], edges), _bin_index(pts[j], edges)
+            idx = np.where((ix >= 0) & (iy >= 0), ix * nb + iy, -1)
+        keep = idx >= 0
+        h = np.bincount(owner[i][keep] * counts.size + idx[keep],
+                        minlength=len(sel) * counts.size).reshape(len(sel), -1)
+        counts += h.sum(axis=0)
+        squares += (h.astype(float) ** 2).sum(axis=0)
+    if not reduced:
+        counts, squares = counts.reshape(nb, nb), squares.reshape(nb, nb)
     # per-bin measure: separation bins cover the whole circle of positions
     scale, cell = (length, width) if reduced else (1.0, width[:, None] * width[None, :])
     values = counts / (m * scale * cell)

@@ -600,7 +600,7 @@ def run(argv=None) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _write(args.handler(args), args)
+        result = args.handler(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -610,6 +610,12 @@ def run(argv=None) -> int:
     except ValueError as err:
         # the library's precondition checks surface as usage errors here
         print(f"usage error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        return _write(result, args)
+    except OSError as err:
+        print(f"usage error: cannot write {args.out or 'standard output'}: "
+              f"{err.strerror or err}", file=sys.stderr)
         return EXIT_USAGE
 
 

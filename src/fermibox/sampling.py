@@ -5,7 +5,9 @@ Projection processes are drawn exactly by the chain rule of Hough,
 Krishnapur, Peres and Virag (2006): pick a point from the current marginal
 density, project its feature vector out of the span, repeat.  Each marginal
 is drawn by rejection from batches of uniform proposals under the envelope
-sum_k sup |psi_k|^2 >= K(x, x), as in DPPy (Gautier et al. 2019).
+sum_k sup |psi_k|^2 >= K(x, x), as in DPPy (Gautier et al. 2019).  Draws of
+one point count run in lockstep, chunked by CHUNK_ENTRIES proposal entries;
+a draw too large to share a chunk keeps the stream a lone draw always had.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import COS, SIN, TRIG, WAVE, ModeFamily
+from .spectral import _ROWS, COS, SIN, TRIG, WAVE, ModeFamily
 from .thermo import fermi_factor
 
 __all__ = [
@@ -34,7 +36,7 @@ TWO_PI = 2.0 * np.pi
 
 BATCH_CAP = 2048    # proposals evaluated at once: memory O(modes x BATCH_CAP)
 STEP_BUDGET = 64    # proposals one step may examine, in expected counts
-CHUNK_ENTRIES = 2 ** 14  # Haar matrix entries drawn at once: bounds peak memory
+CHUNK_ENTRIES = 2 ** 14  # Haar matrix or sampler proposal entries at once: bounds peak memory
 CAYLEY_MAX = 1e3    # largest |tan(angle / 2)| a Cayley pass of a Haar draw accepts
 
 
@@ -117,9 +119,21 @@ def _mode_sups(family: ModeFamily, domain: tuple[float, float]) -> np.ndarray:
                      [plain, trig], ends) * (1.0 + 1e-12)
 
 
-def _sample_points(family: ModeFamily, sups: np.ndarray,
+def _eval_rows(kind, w, a, b, xs, out) -> np.ndarray:
+    """Fill out[d, i, k] = psi_k(xs[d, i]) for the modes (kind, w, a, b)[d, k]
+    of draw d.  Each kind's rows are gathered and evaluated by their `_ROWS`
+    formula, with the bits `ModeFamily.eval_matrix` gives them."""
+    for code, row in enumerate(_ROWS):
+        d, k = np.nonzero(kind == code)
+        if len(d):
+            out[d, :, k] = row(w[d, k, None], a[d, k, None], b[d, k, None], xs[d])
+    return out
+
+
+def _sample_points(family: ModeFamily, sups: np.ndarray, modes: np.ndarray,
                    domain: tuple[float, float], rng) -> np.ndarray:
-    """One exact draw of the projection process onto `family`.
+    """Exact draws of the projection processes onto family[modes[d]], one per
+    row of `modes`, each sorted.
 
     Step i accepts a uniform proposal x, u ~ U[0, bound) when
     u < r_i(x) = |phi(x)|^2 - |B_i^H phi(x)|^2, with B_i an orthonormal basis
@@ -128,43 +142,72 @@ def _sample_points(family: ModeFamily, sups: np.ndarray,
     of it and carry over, each needing one new basis coefficient.  A step
     that exhausts its proposal budget, or a point that adds nothing to the
     span, ends in SamplerError.
+
+    The draws run in lockstep, in chunks of as many draws as keep draws x
+    first-batch width x n within CHUNK_ENTRIES (at least one): each step runs
+    once for a whole chunk.  A draw whose proposals run dry is refilled
+    alone, right-aligned in the chunk's width, since refills shrink as steps
+    advance.  A proposal a draw rejected stays rejected, as residuals only
+    fall, so each draw takes its own first hit.  A chunk of one draw uses
+    `rng` as a lone draw does.
     """
-    n = len(family)
-    lo, hi = domain
-    bound = float(np.sum(sups))
+    (count, n), (lo, hi) = modes.shape, domain
+    bound = np.sum(sups[modes], axis=1)
     scale = (hi - lo) * bound           # expected proposals at step i: scale / (n - i)
-    basis = np.empty((n, n), dtype=complex)
-    picked = np.empty(n)
-    xs = u = res = np.empty(0)
-    at = 0
-    for step in range(n):
-        seen = 0
-        while not np.any(hit := u[at:] < res[at:]):
-            seen += len(u) - at
-            if seen > STEP_BUDGET * scale / (n - step):
-                raise SamplerError(f"residual mass vanished at step {step} of {n}")
-            # the mean need of every remaining step, plus 32 so small draws rarely refill
-            size = min(BATCH_CAP, int(scale * np.sum(1.0 / np.arange(1, n - step + 1))) + 32)
-            xs = rng.uniform(lo, hi, size)
-            u = rng.uniform(0.0, bound, size)
-            phi = np.ascontiguousarray(family.eval_matrix(xs).T)
-            res = np.sum(phi.real**2 + phi.imag**2, axis=1)
-            if np.max(res) > bound:
-                raise SamplerError("K(x, x) exceeds the mode envelope")
-            res -= np.sum(np.abs(phi @ basis[:step].T.conj()) ** 2, axis=1)
-            at = 0
-        j = at + int(np.argmax(hit))
-        v = phi[j]
-        for _ in range(2):              # Gram-Schmidt, repeated for stability
-            v = v - (basis[:step].conj() @ v) @ basis[:step]
-        nrm2 = np.vdot(v, v).real
-        if nrm2 <= 1e-12 * np.vdot(phi[j], phi[j]).real:
-            raise SamplerError("picked a point already inside the span")
-        basis[step] = v / np.sqrt(nrm2)
-        picked[step] = xs[j]
-        at = j + 1
-        res[at:] -= np.abs(phi[at:] @ basis[step].conj()) ** 2
-    return np.sort(picked)
+
+    def width(step, scale):
+        # the mean need of every remaining step, plus 32 so small draws rarely refill
+        need = np.max(scale, initial=0.0) * np.sum(1.0 / np.arange(1, n - step + 1))
+        return min(BATCH_CAP, int(need) + 32)
+
+    out = np.empty((count, n))
+    chunk = max(1, CHUNK_ENTRIES // (width(0, scale) * max(n, 1)))
+    for start in range(0, count, chunk):
+        sel = modes[start:start + chunk]
+        kind, w, a, b = (f[sel] for f in (family.kind, family.w, family.a, family.b))
+        bnd, scl, m = bound[start:start + chunk], scale[start:start + chunk], len(sel)
+        cols = width(0, scl)
+        xs, u, res = np.empty((3, m, cols))
+        phi = np.empty((m, cols, n), dtype=complex)
+        basis, cbasis = np.empty((2, m, n, n), dtype=complex)
+        basis_t, phi_rows = basis.transpose(0, 2, 1), phi.reshape(m * cols, n, 1)
+        picked, at = np.empty((m, n)), np.full(m, cols)
+        c0, row_starts = cols, np.arange(m) * cols
+        for step in range(n):
+            seen = 0
+            while not (has := (hit := u[:, c0:] < res[:, c0:]).any(axis=1)).all():
+                dry = np.flatnonzero(~has)
+                sub = dry if len(dry) < m else slice(None)  # a slice: phi[sub] is a view
+                seen = seen + (cols - at) * ~has
+                if (seen > STEP_BUDGET * scl / (n - step)).any():
+                    raise SamplerError(f"residual mass vanished at step {step} of {n}")
+                c = cols - width(step, scl[dry])
+                xs[sub, c:] = rng.uniform(lo, hi, (len(dry), cols - c))
+                u[sub, c:] = rng.random((len(dry), cols - c)) * bnd[sub, None]
+                p = _eval_rows(kind[sub], w[sub], a[sub], b[sub], xs[sub, c:], phi[sub, c:])
+                r = np.sum(p.real**2 + p.imag**2, axis=2)
+                if (np.max(r, axis=1) > bnd[sub]).any():
+                    raise SamplerError("K(x, x) exceeds the mode envelope")
+                r -= np.sum(np.abs(p @ cbasis[sub, :step].transpose(0, 2, 1)) ** 2, axis=2)
+                phi[sub, c:], res[sub, c:], at[sub] = p, r, c
+                c0 = at.min()
+            j = c0 + hit.argmax(axis=1)
+            flat = row_starts + j           # the picked proposals, as flat indices
+            v = v0 = phi_rows[flat]
+            for _ in range(2):              # Gram-Schmidt, repeated for stability
+                v = v - basis_t[:, :, :step] @ (cbasis[:, :step] @ v)
+            nrm2 = np.vecdot(v, v, axis=1).real
+            if (nrm2 <= 1e-12 * np.vecdot(v0, v0, axis=1).real).any():
+                raise SamplerError("picked a point already inside the span")
+            np.divide(v[..., 0], np.sqrt(nrm2), out=basis[:, step])
+            np.conjugate(basis[:, step], out=cbasis[:, step])
+            picked[:, step] = xs.take(flat)
+            u.reshape(-1)[flat] = np.inf    # a picked proposal is spent
+            at = j + 1
+            c0 = at.min()
+            res[:, c0:] -= np.abs(phi[:, c0:] @ cbasis[:, step, :, None])[..., 0] ** 2
+        out[start:start + m] = np.sort(picked, axis=1)
+    return out
 
 
 def sample_projection(family: ModeFamily, rng,
@@ -176,12 +219,8 @@ def sample_projection(family: ModeFamily, rng,
 def sample_projection_many(family: ModeFamily, count: int, rng,
                            domain: tuple[float, float] = (0.0, TWO_PI)) -> np.ndarray:
     """`count` independent configurations, shape (count, len(family))."""
-    rng = make_rng(rng)
-    sups = _mode_sups(family, domain)
-    out = np.empty((count, len(family)))
-    for i in range(count):
-        out[i] = _sample_points(family, sups, domain, rng)
-    return out
+    modes = np.broadcast_to(np.arange(len(family)), (count, len(family)))
+    return _sample_points(family, _mode_sups(family, domain), modes, domain, make_rng(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +231,20 @@ def sample_grand_canonical_many(family: ModeFamily, t: float, mu: float,
                                 count: int, rng,
                                 domain: tuple[float, float] = (0.0, TWO_PI),
                                 ) -> list[np.ndarray]:
-    """`count` independent grand-canonical draws (variable point counts)."""
+    """`count` independent grand-canonical draws (variable point counts).
+
+    Every occupation is drawn first; the draws of each point count then run
+    in lockstep and come back in draw order."""
     rng = make_rng(rng)
-    p = fermi_factor(family.energies, t, mu)
+    occupied = rng.random((count, len(family))) < fermi_factor(family.energies, t, mu)
+    sizes = np.count_nonzero(occupied, axis=1)
     sups = _mode_sups(family, domain)
-    out = []
-    for _ in range(count):
-        occupied = np.flatnonzero(rng.random(len(p)) < p)
-        out.append(_sample_points(family[occupied], sups[occupied], domain, rng))
+    out = [None] * count
+    for n in np.unique(sizes):
+        idx = np.flatnonzero(sizes == n)
+        modes = np.nonzero(occupied[idx])[1].reshape(len(idx), n)
+        for i, pts in zip(idx, _sample_points(family, sups, modes, domain, rng)):
+            out[i] = pts
     return out
 
 

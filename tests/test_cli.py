@@ -38,13 +38,14 @@ def csv_body(text):
     """(comment lines, column row or None, data rows as string lists).
 
     The column row is the first one whose first field is not a number, so a
-    data row starting with, say, 8.5e-06 stays a data row.
+    data row starting with, say, 8.5e-06 stays a data row, and an empty
+    configuration (a blank line) is never the column row.
     """
     comments, columns, rows = [], None, []
     for line in text.splitlines():
         if line.startswith("#"):
             comments.append(line)
-        elif columns is None and not _is_float(line.split(",")[0]):
+        elif columns is None and line and not _is_float(line.split(",")[0]):
             columns = line.split(",")
         else:
             rows.append(line.split(","))
@@ -166,6 +167,8 @@ def test_exit_codes_usage_numerical_baseline():
           "--limit", '{"Limit":{}}'], 1),
         (["verify", "--study", "edge", "--bc", "robin:1", "--sizes", "25,50",
           "--limit", '{"Limit":{"RobinEdge":{}}}'], 1),
+        # an output that cannot be written
+        (["lambda-solve", "--c", "1", "--out", "/nonexistent/x.json"], 1),
     ]
     for argv, want in cases:
         code, _, err = run_cli(argv)
@@ -312,6 +315,9 @@ def test_csv_and_json_carry_the_same_numbers():
 
     for argv in (["sample", "--kind", "dpp", "--bc", "dirichlet", "--n", "4",
                   "--samples", "3", "--seed", "21"],
+                 # at mu = -3 most draws are empty: blank CSV lines
+                 ["sample", "--kind", "gc", "--bc", "periodic", "--t", "2",
+                  "--mu", "-3", "--samples", "12", "--seed", "0"],
                  ["sample", "--kind", "gc", "--bc", "periodic", "--t", "2",
                   "--target", "2", "--samples", "12", "--seed", "5"]):
         _, rows, digest, doc = _csv_and_json(argv)

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 from fermibox import kernels as kn
 from fermibox import sampling as sp
 from fermibox.boundary import make_boundary, make_preset
+from fermibox.spectral import DECAY, TRIG
 from fermibox.thermo import count_distribution, fermi_factor
 
 TWO_PI = 2.0 * np.pi
@@ -345,3 +346,57 @@ def test_haar_so_eigenangles_with_a_pair_near_minus_one(monkeypatch):
 def test_haar_eigenangles_refuse_empty_matrices(group):
     with pytest.raises(ValueError):
         sp.haar_eigenangles(group, 0, 1, sp.RngSpec(0))
+
+
+def test_grand_canonical_draws_follow_the_finite_t_kernel():
+    # robin:-2.5 binds a state at each wall, so the family holds TRIG and DECAY
+    # rows, and point counts vary from draw to draw.  The mixture is the
+    # determinantal process of K = sum_k p_k phi_k phi_k^*: per-cell means of
+    # point and ordered-pair counts must match rho_1 and rho_2 = det[K], with
+    # errors from the spread over configurations
+    t, mu, m, cells, fine = 2.0, 3.0, 3000, 8, 32
+    fam = kn.finite_t_modes(make_preset("robin", -2.5), t, mu)
+    assert {TRIG, DECAY} <= set(fam.kind.tolist())
+    draws = sp.sample_grand_canonical_many(fam, t, mu, m, sp.RngSpec(2521))
+    assert len({len(d) for d in draws}) > 3
+    # every occupation is drawn first, and the draws come back in draw order
+    p = fermi_factor(fam.energies, t, mu)
+    occupied = sp.make_rng(sp.RngSpec(2521)).random((m, len(fam))) < p
+    assert [len(d) for d in draws] == np.count_nonzero(occupied, axis=1).tolist()
+    c = np.array([np.bincount(np.minimum((d / TWO_PI * cells).astype(int), cells - 1),
+                              minlength=cells) for d in draws])
+    pairs = (c[:, :, None] * c[:, None, :] - c[:, :, None] * np.eye(cells, dtype=int))
+    g = (np.arange(cells * fine) + 0.5) * TWO_PI / (cells * fine)
+    phi = fam.eval_matrix(g)
+    k = (phi.T * p) @ phi.conj()
+    dx = TWO_PI / (cells * fine)
+    rho1 = k.diagonal().real.reshape(cells, fine).sum(axis=1) * dx
+    rho2 = np.outer(k.diagonal(), k.diagonal()).real - np.abs(k) ** 2
+    rho2 = rho2.reshape(cells, fine, cells, fine).sum(axis=(1, 3)).ravel() * dx ** 2
+    for obs, exact in ((c, rho1), (pairs.reshape(m, -1), rho2)):
+        z = (obs.mean(axis=0) - exact) / (obs.std(axis=0, ddof=1) / np.sqrt(m))
+        assert np.max(np.abs(z)) < 4.5, np.max(np.abs(z))
+
+
+def test_lockstep_faults_raise_promptly(monkeypatch):
+    # a chunk of many draws keeps each draw's step budget and envelope check
+    fam = kn.ground_state_modes("dirichlet", 3)[[0, 0, 1]]
+    t0 = time.perf_counter()
+    with pytest.raises(sp.SamplerError):
+        sp.sample_projection_many(fam, 50, sp.RngSpec(3))
+    assert time.perf_counter() - t0 < 1.0
+    sups = sp._mode_sups
+    monkeypatch.setattr(sp, "_mode_sups", lambda f, d: 0.5 * sups(f, d))
+    t0 = time.perf_counter()
+    with pytest.raises(sp.SamplerError, match="envelope"):
+        sp.sample_projection_many(kn.ground_state_modes("dirichlet", 6), 50, sp.RngSpec(4))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_lone_draws_keep_their_stream():
+    # a draw too large to share a chunk runs alone, as every draw once did:
+    # these are the bits the one-draw-at-a-time sampler gave
+    pts = sp.sample_projection_many(kn.ground_state_modes("dirichlet", 100), 2, sp.RngSpec(5))
+    assert pts[:, :3].tolist() == [
+        [0.038904866528767686, 0.09133414320295467, 0.15776034872193662],
+        [0.05239590822566132, 0.06669169075512206, 0.1406719078533496]]
