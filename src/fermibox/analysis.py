@@ -148,11 +148,12 @@ def estimate_pair_correlation(samples, grid2d,
     the circle ``support`` and the estimate is collapsed to a function of
     the separation ``(x - y) mod length``; otherwise a full two-dimensional
     histogram over ``support x support`` is returned.  Counting ordered
-    pairs makes the estimator unbiased for the binned average of the
-    two-point function, including the diagonal bins.  A point participates
-    in every pair it forms, so per-bin counts are overdispersed relative to
-    Poisson; the standard errors therefore come from the across-sample
-    spread of the per-sample counts.
+    pairs of distinct points, told apart by index so that two points at one
+    place still form a pair, makes the estimator unbiased for the binned
+    average of the two-point function, including the diagonal bins.  A
+    point participates in every pair it forms, so per-bin counts are
+    overdispersed relative to Poisson; the standard errors therefore come
+    from the across-sample spread of the per-sample counts.
     """
     return _pair_estimate(_clean_samples(samples, 1000), grid2d, support, reduced)
 
@@ -181,11 +182,10 @@ def _pair_estimate(configs, bins, support: tuple[float, float],
         i = np.repeat(np.arange(pts.size), reps)
         j = np.repeat(np.repeat(np.cumsum(k) - k, k), reps) + np.arange(i.size) \
             - np.repeat(np.cumsum(reps) - reps, reps)
+        i, j = i[i != j], j[i != j]
         if reduced:
-            i, j = i[i != j], j[i != j]
             idx = _bin_index((pts[i] - pts[j]) % length, edges)
         else:
-            i, j = i[pts[i] != pts[j]], j[pts[i] != pts[j]]
             ix, iy = _bin_index(pts[i], edges), _bin_index(pts[j], edges)
             idx = np.where((ix >= 0) & (iy >= 0), ix * nb + iy, -1)
         keep = idx >= 0

@@ -8,9 +8,11 @@ them by reflection.  Loop configurations that return to their starting set
 carry the weight det[p_t(x_i, x_j)]; because every propagator here is a
 positive mode sum, that determinant factors through a rectangular mode
 matrix, and a pivoted QR of the factor evaluates the log-weight stably far
-below where a plain LU determinant drowns in roundoff.  The Metropolis
-chain keeps that factor between steps: a proposal rebuilds one point's row
-and calls LAPACK's pivoted QR (``geqp3``) once.
+below where a plain LU determinant drowns in roundoff.  Its modes are
+``sampling.group_modes`` rows in energy order, since a pivoted QR of this
+row-graded factor is accurate only with its heavy rows first.  The
+Metropolis chain keeps that factor between steps: a proposal rebuilds one
+point's row and calls LAPACK's pivoted QR (``geqp3``) once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from scipy.linalg import get_lapack_funcs
 
 from .analysis import _pair_estimate, bin_average, estimate_density
 from .kernels import finite_t_kernel, finite_t_modes
-from .sampling import make_rng, sample_grand_canonical_many
+from .sampling import group_modes, make_rng, sample_grand_canonical_many
+from .spectral import _ROWS
 from .thermo import fermi_factor
 
 __all__ = [
@@ -126,17 +129,12 @@ def heat_propagator(family: str, t: float, eps: float = 1e-14):
 # loop-weight determinants
 
 
-def _domain_top(family: str) -> float:
-    return TWO_PI if family == "A" else np.pi
-
-
-def _check_config(family: str, points) -> np.ndarray:
+def _check_config(family: str, points, top: float) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 1 or len(points) == 0:
         raise ValueError("configuration must be a nonempty 1-d array")
     if not np.all(np.isfinite(points)):
         raise ValueError("configuration points must be finite")
-    top = _domain_top(family)
     if family == "A":
         if np.any(points < 0) or np.any(points >= top):
             raise ValueError("circle points must lie in [0, 2pi)")
@@ -147,32 +145,31 @@ def _check_config(family: str, points) -> np.ndarray:
     return points
 
 
-def _mode_columns(family: str, tau: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mode numbers of the factor for n points and their decay (A: its exponent).
+def _loop_modes(family: str, tau: float, n: int):
+    """The n-point factor's modes, their weights exp(-tau k^2 / 2) and the
+    domain top: group_modes of U, SO odd, Sp or SO even for A, B, C or D.
 
     The cutoff keeps at least as many modes as points (else the factor is
     rank deficient) plus enough decay margin that dropped modes are
-    negligible relative to the kept ones.
+    negligible relative to the kept ones.  A stable sort by energy puts
+    family A's k = 0, -1, 1, ... first; B, C and D come in that order.
     """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown loop family {family!r}")
     k_max = ((n + 1) // 2 if family == "A" else n) + int(np.ceil(np.sqrt(120.0 / tau))) + 1
-    if family == "A":
-        ks = np.arange(-k_max, k_max + 1, dtype=float)
-        return ks, 0.5 * tau * ks**2
-    ks = np.arange(1 if family == "C" else 0, k_max + 1, dtype=float)
-    ks = ks + 0.5 if family == "B" else ks
-    return ks, np.exp(-0.5 * tau * ks**2)
+    group, size = {"A": ("U", 2 * k_max + 1), "B": ("SO", 2 * k_max + 3),
+                   "C": ("Sp", 2 * k_max), "D": ("SO", 2 * k_max + 2)}[family]
+    modes, top = group_modes(group, size)
+    modes = modes[np.argsort(modes.energies, kind="stable")]
+    return modes, np.exp(-0.5 * tau * modes.energies), top
 
 
-def _mode_factor(family: str, columns, points) -> np.ndarray:
-    """G with det[p_t(x_i, x_j)] = det(G G†): a row per point (1-d for a scalar)."""
-    ks, decay = columns
-    if family == "A":
-        return np.exp(1j * np.multiply.outer(points, ks) - decay) / np.sqrt(TWO_PI)
-    if family != "D":
-        return np.sqrt(2.0 / np.pi) * np.sin(np.multiply.outer(points, ks)) * decay
-    g = np.sqrt(2.0 / np.pi) * np.cos(np.multiply.outer(points, ks)) * decay
-    g[..., 0] = 1.0 / np.sqrt(np.pi)
-    return g
+def _mode_factor(columns, points) -> np.ndarray:
+    """G with det[p_t(x_i, x_j)] = det(G G†): a row per point (1-d for a
+    scalar), one row formula since each loop family has a single kind."""
+    modes, weights, _ = columns
+    x = np.asarray(points)[..., None]
+    return _ROWS[modes.kind[0]](modes.w, modes.a, modes.b, x) * weights
 
 
 def _pivoted_logdet(gh: np.ndarray):
@@ -189,14 +186,14 @@ def _pivoted_logdet(gh: np.ndarray):
     return logdet
 
 
-def _loop_logdet(family: str, t: float, points: np.ndarray) -> float:
+def _loop_logdet(columns, points: np.ndarray) -> float:
     """log det[p_t(x_i, x_j)] through a pivoted QR of the mode factor.
 
     The quadratic form G G† makes positivity structural; the factorization
     keeps log-weights accurate far below the absolute-size floor where an
     LU determinant of the n x n matrix degenerates into rounding noise.
     """
-    gh = _mode_factor(family, _mode_columns(family, 0.5 * t, len(points)), points).conj().T
+    gh = _mode_factor(columns, points).conj().T
     return _pivoted_logdet(gh)(gh)
 
 
@@ -207,12 +204,13 @@ def km_log_density(family: str, t: float, points) -> tuple[float, float]:
     or negative weight (coincident points, or a parity-violating circular
     configuration) raises NonPositiveDeterminant.
     """
-    points = _check_config(family, points)
     if not 0 < t < np.inf:
         raise ValueError(f"time must be positive and finite, got {t}")
+    columns = _loop_modes(family, 0.5 * t, np.size(points))
+    points = _check_config(family, points, columns[-1])
     if np.any(np.diff(np.sort(points)) == 0.0):
         raise NonPositiveDeterminant("coincident points give a zero weight")
-    logdet = _loop_logdet(family, t, points)
+    logdet = _loop_logdet(columns, points)
     if not np.isfinite(logdet):
         raise NonPositiveDeterminant(
             f"loop determinant vanished for family {family} at t={t}"
@@ -246,17 +244,15 @@ def km_mcmc(family: str, t: float, n: int, steps: int, rng,
         raise ValueError(f"time must be positive and finite, got {t}")
     if n < 1:
         raise ValueError("need at least one loop")
-    if family == "A" and n % 2 == 0:
-        raise ValueError("circular loop weights need an odd number of points")
     if steps < 1 or thin < 1 or burn < 0:
         raise ValueError("steps and thin must be positive, burn nonnegative")
     if not 0 < step < np.inf:
         raise ValueError("step size must be positive and finite")
     rng = make_rng(rng)
-    top = _domain_top(family)
-    x = top * np.arange(1, n + 1) / (n + 1.0)
-    columns = _mode_columns(family, 0.5 * t, n)
-    gh = np.asfortranarray(_mode_factor(family, columns, x).conj().T)
+    columns = _loop_modes(family, 0.5 * t, n)
+    top = columns[-1]
+    x = _check_config(family, top * np.arange(1, n + 1) / (n + 1.0), top)
+    gh = np.asfortranarray(_mode_factor(columns, x).conj().T)
     logdet = _pivoted_logdet(gh)
     logp = logdet(gh)
     if not np.isfinite(logp):
@@ -275,7 +271,7 @@ def km_mcmc(family: str, t: float, n: int, steps: int, rng,
         )
         if ordered:
             row = gh[:, i].copy()
-            np.conjugate(_mode_factor(family, columns, xi), out=gh[:, i])
+            np.conjugate(_mode_factor(columns, xi), out=gh[:, i])
             lp2 = logdet(gh)
             if np.isfinite(lp2) and np.log(rng.random()) < lp2 - logp:
                 x[i], logp = xi, lp2

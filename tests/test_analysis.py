@@ -157,7 +157,7 @@ def _histogram_loop(configs, edges, reduced=None):
             h = np.histogram(sep[~np.eye(pts.size, dtype=bool)], bins=edges)[0]
         else:
             xi, yj = np.repeat(pts, pts.size), np.tile(pts, pts.size)
-            keep = xi != yj
+            keep = ~np.eye(pts.size, dtype=bool).ravel()
             h = np.histogram2d(xi[keep], yj[keep], bins=(edges, edges))[0]
         counts += h
         squares += h.astype(float) ** 2

@@ -1,5 +1,7 @@
 """Theta functions, the four propagator families, and loop-weight machinery."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -298,13 +300,17 @@ def _qr_mode_factor(family, tau, points):
     return g
 
 
-def _qr_logdet(family, t, points):
-    g = _qr_mode_factor(family, 0.5 * t, points)
-    r = scipy.linalg.qr(g.conj().T, mode="r", pivoting=True)[0]
-    diag = np.abs(np.diagonal(r))[: len(points)]
+def _scipy_logdet(gh, n):
+    """log det(G G†) for gh = G† from scipy's pivoted QR."""
+    r = scipy.linalg.qr(gh, mode="r", pivoting=True)[0]
+    diag = np.abs(np.diagonal(r))[:n]
     if np.any(diag == 0.0):
         return -np.inf
     return float(2.0 * np.sum(np.log(diag)))
+
+
+def _qr_logdet(family, t, points):
+    return _scipy_logdet(_qr_mode_factor(family, 0.5 * t, points).conj().T, len(points))
 
 
 def _qr_chain(family, t, n, steps, rng, step, thin, burn):
@@ -346,7 +352,8 @@ def test_mcmc_chain_is_bitwise_the_full_refactoring_chain(family, t, n):
         assert n == 1 or rate < 0.95, (seed, rate)     # rejections restore a row
 
 
-def test_loop_logdet_is_bitwise_the_scipy_qr_route():
+def _seed_2024_configs():
+    """200 configurations per family, random sizes, points and times."""
     rng = np.random.default_rng(2024)
     for fam in hf.FAMILIES:
         top = TWO_PI if fam == "A" else np.pi
@@ -354,7 +361,48 @@ def test_loop_logdet_is_bitwise_the_scipy_qr_route():
             n = int(rng.choice([1, 3, 5, 7, 9]) if fam == "A" else rng.integers(1, 10))
             pts = np.sort(rng.uniform(0.0, top, n))
             t = float(np.exp(rng.uniform(np.log(0.02), np.log(20.0))))
-            assert hf._loop_logdet(fam, t, pts) == _qr_logdet(fam, t, pts), (fam, t, pts)
+            yield fam, t, pts
+
+
+def test_loop_logdet_is_bitwise_the_scipy_qr_route():
+    for fam, t, pts in _seed_2024_configs():
+        columns = hf._loop_modes(fam, 0.5 * t, len(pts))
+        gh = hf._mode_factor(columns, pts).conj().T
+        assert hf._loop_logdet(columns, pts) == _scipy_logdet(gh, len(pts)), (fam, t, pts)
+
+
+def test_loop_factor_is_the_formula_factor_in_energy_order():
+    # the group_modes rows, matched by frequency, are the per-family formulas
+    for fam, t, pts in _seed_2024_configs():
+        columns = hf._loop_modes(fam, 0.5 * t, len(pts))
+        assert np.all(np.diff(columns[0].energies) >= 0)
+        got = hf._mode_factor(columns, pts)[:, np.argsort(columns[0].w, kind="stable")]
+        want = _qr_mode_factor(fam, 0.5 * t, pts)
+        assert got.shape == want.shape
+        assert_allclose(got, want, rtol=1e-15, atol=0, err_msg=f"{fam} t={t}")
+
+
+def test_loop_logdet_stays_near_the_formula_route():
+    # B, C and D kept their row order, so only roundoff moves; family A's
+    # old order gave wrong values, so A is checked against a closed form below
+    for fam, t, pts in _seed_2024_configs():
+        if fam != "A":
+            ld = hf._loop_logdet(hf._loop_modes(fam, 0.5 * t, len(pts)), pts)
+            assert abs(ld - _qr_logdet(fam, t, pts)) < 1e-7, (fam, t, pts)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11])
+def test_circle_log_weight_on_equally_spaced_points(n):
+    # det[p_t] is circulant at x_j = 2 pi j / n; its eigenvalues are
+    # (n / 2 pi) sum over k = m mod n of exp(-t k^2 / 2), m < n
+    pts = TWO_PI * np.arange(n) / n
+    for t in (0.05, 0.5, 1.0, 5.0, 10.0, 15.0, 20.0):
+        want = math.fsum(
+            math.log(n / TWO_PI * math.fsum(math.exp(-0.5 * t * k * k)
+                                            for k in range(m - 400 * n, 400 * n, n)))
+            for m in range(n))
+        got, _ = hf.km_log_density("A", t, pts)
+        assert abs(got - want) <= 1e-12 * abs(want), (n, t, got, want)
 
 
 # ---------------------------------------------------------------------------
