@@ -371,13 +371,14 @@ def test_spectrum_csv_format():
     assert float(rows[0][1]) == pytest.approx(0.0, abs=1e-12)
 
 
-# the two bound states of robin:-2.5 as printed before the solver returned a
-# mode family: (E, a, b), with a and b the (cosh, sinh) coefficients
+# the two bound states of robin:-2.5, one double 1e-8 from splitting, as
+# printed since roots are bisected on the level count: (E, a, b), with a and b
+# the (cosh, sinh) coefficients of a basis of the double taken at its midpoint
 ROBIN_BOUND = (
-    (-9.05750962183482, (1.7348109432178775, -1.573186729856828e-24),
-     (-1.73481092194086, -1.573186729856828e-24)),
-    (-9.05750962183482, (1.7348113266339553, 1.5731863628671746e-24),
-     (-1.7348113479109777, 1.5731863628671746e-24)),
+    (-9.057509621834772, (1.7348109440429973, 7.3324821303078665e-25),
+     (-1.7348109227659798, 7.3324821303078665e-25)),
+    (-9.057509621834772, (1.7348113258088314, -7.332480426777077e-25),
+     (-1.7348113470858537, -7.332480426777077e-25)),
 )
 
 

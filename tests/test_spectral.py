@@ -19,6 +19,11 @@ def solve(name, *params, count=None, e_max=None):
     return fs.solve_spectrum(fb.make_preset(name, *params), count=count, e_max=e_max)
 
 
+def pencil_det(bc, e):
+    """det of the boundary pencil at trial energy e > 0, (cos, sin) basis."""
+    return complex(np.linalg.det(fs._pencil(bc.matrix, *fs._trig_pq(np.sqrt(e)))))
+
+
 class TestClosedFormSpectra:
     def test_dirichlet(self):
         sp = solve("dirichlet", count=10)
@@ -65,11 +70,11 @@ class TestClosedFormSpectra:
 class TestSecularOracles:
     def test_dirichlet_zero_at_one(self):
         bc = fb.make_preset("dirichlet")
-        assert abs(fs.secular_det(bc, 1.0)) < 1e-12
+        assert abs(pencil_det(bc, 1.0)) < 1e-12
 
     def test_dirichlet_frozen_value(self):
         bc = fb.make_preset("dirichlet")
-        got = fs.secular_det(bc, 0.5)
+        got = pencil_det(bc, 0.5)
         assert got.real == pytest.approx(SECULAR_DIRICHLET_HALF, abs=1e-9)
         assert abs(got.imag) < 1e-12
         mp = pytest.importorskip("mpmath")
@@ -83,7 +88,7 @@ class TestSecularOracles:
         p, q = fs._trig_pq(1.0)
         m = fs._pencil(bc.matrix, p, q)
         assert np.abs(m).max() < 1e-12
-        assert abs(fs.secular_det(bc, 1.0)) < 1e-12
+        assert abs(pencil_det(bc, 1.0)) < 1e-12
 
 
 class TestModeInvariants:
@@ -184,6 +189,10 @@ class TestWeyl:
         assert len(sp.modes) == 20
         sp = solve("periodic", e_max=100.0 + 1e-9)
         assert len(sp.modes) == 21
+        # the ceiling's margin lands between the two roots of the double at
+        # k = 5, which is cut whole
+        sp = solve("periodic", e_max=(5.0 / (1.0 + 1e-6)) ** 2)
+        assert len(sp.modes) == 9
 
     @pytest.mark.parametrize("name,params", [
         ("dirichlet", ()), ("periodic", ()), ("zaremba", ()),
@@ -192,6 +201,28 @@ class TestWeyl:
     def test_counting_deviation_small(self, name, params):
         report = fs.weyl_check(fb.make_preset(name, *params), e_max=400.0)
         assert report.max_abs_deviation <= 2.0
+
+
+def weyl_loop(bc, e_max):
+    """weyl_check's rule one energy at a time: the first largest deviation."""
+    energies = np.sort(fs.solve_spectrum(bc, e_max=e_max).energies)
+    devs = [(abs(j + step - 2.0 * np.sqrt(e)), e)
+            for j, e in enumerate(energies) if e >= 0 for step in (0, 1)]
+    worst, where = 0.0, 0.0
+    for dev, e in devs + [(abs(len(energies) - 2.0 * np.sqrt(e_max)), e_max)]:
+        if dev > worst:
+            worst, where = dev, e
+    return fs.WeylReport(float(worst), float(where), len(energies))
+
+
+@pytest.mark.parametrize("name,params", [
+    ("periodic", ()), ("dirichlet", ()), ("neumann", ()), ("zaremba", ()),
+    ("robin", (np.pi / 2,)), ("robin", (-2.5,)), ("delta", (-6.0,)),
+])
+def test_weyl_check_is_the_loop_rule(name, params):
+    bc = fb.make_preset(name, *params)
+    for e_max in (400.0, 100.0 + 1e-9, 0.5):
+        assert fs.weyl_check(bc, e_max=e_max) == weyl_loop(bc, e_max)
 
 
 def test_solve_spectrum_argument_validation():
@@ -210,13 +241,48 @@ def test_count_request_is_exact():
         assert len(sp.modes) == n
 
 
-def test_secular_det_negative_energy_sign_change():
-    # the bound state of delta(-1) is bracketed by a sign change of the
-    # real part of the secular determinant
+def test_level_count_steps_across_delta_bound_state():
+    # the bound state of delta(-1), at E between -1 and -0.05, is the one
+    # level the hyp count passes between kappa = sqrt(0.05) and 1
     bc = fb.make_preset("delta", -1.0)
-    lo = fs.secular_det(bc, -1.0)
-    hi = fs.secular_det(bc, -0.05)
-    assert np.sign(lo.real) != np.sign(hi.real)
+    kappas = np.array([np.sqrt(0.05), 1.0])
+    assert list(fs._levels(bc.matrix, "hyp", kappas, fs._alpha_u(bc))) == [0, 1]
+
+
+class TestDeepWalls:
+    """Bound states of strongly attractive walls against closed forms and mpmath."""
+
+    @pytest.mark.parametrize("h", [-60.0, -63.23, -90.0, -120.0, -200.0, -250.0])
+    def test_robin_wall_binds_two_states(self, h):
+        # each wall binds one state at kappa = -h, up to tunnelling of order
+        # exp(-2 pi |h|); the raw matrix carries no coupling label
+        alpha = 2.0 * np.arctan(h)
+        preset = fb.make_preset("robin", alpha)
+        for bc in (preset, fb.make_boundary(preset.matrix)):
+            sp = fs.solve_spectrum(bc, count=4)
+            assert np.sum(sp.energies < 0) == 2
+            assert fs.orthonormality_check(sp) <= 1e-8
+            assert_allclose(sp.energies[:2], -np.tan(alpha / 2.0) ** 2, rtol=1e-12, atol=0)
+
+    def test_tunnelling_pair_stays_split(self):
+        # even and odd bound states solve k tanh(pi k) = 2.5 and k coth(pi k) = 2.5,
+        # 6e-7 apart in relative terms
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        even = mp.findroot(lambda k: k * mp.tanh(mp.pi * k) - 2.5, 2.5)
+        odd = mp.findroot(lambda k: k * mp.coth(mp.pi * k) - 2.5, 2.5)
+        sp = solve("robin", 2.0 * np.arctan(-2.5), count=4)
+        assert list(sp.modes.kind[:2]) == [fs.DECAY, fs.DECAY]
+        assert_allclose(sp.energies[:2], [-float(even**2), -float(odd**2)], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("c", [-1e3, -1e4, -3e4])
+    def test_deep_delta_matches_mpmath(self, c):
+        # the even bound state of the junction solves k tanh(pi k) = -c / 2
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        kappa = mp.findroot(lambda k: k * mp.tanh(mp.pi * k) + mp.mpf(c) / 2, -c / 2)
+        sp = solve("delta", c, count=2)
+        assert sp.energies[0] == pytest.approx(-float(kappa**2), rel=1e-11, abs=0)
 
 
 class TestHighCount:
@@ -260,7 +326,7 @@ class TestTieProofPhases:
     def test_first_coefficient_real_positive_and_stable(self, name, params, sector):
         bc = fb.make_preset(name, *params)
         alpha = fs._alpha_u(bc)
-        x_hi = fs._kappa_ceiling(bc) if sector == "hyp" else 40.0
+        x_hi = fs._kappa_top(bc.matrix) if sector == "hyp" else 40.0
         xs, sizes = fs._roots(bc.matrix, sector, x_hi, alpha)
         _, rows = fs._sector_modes(bc.matrix, sector, xs, sizes)
         mag = np.abs(rows)
@@ -291,6 +357,7 @@ def test_mode_ceiling_raises_before_scanning():
     e_top = ((fs.MAX_LEVELS - 2) / 2.0) ** 2
     with pytest.raises(ValueError, match="ceiling"):
         fs.solve_spectrum(bc, e_max=e_top * 1.001)
-    # a bound-state scan for a huge coupling is capped the same way
-    with pytest.raises(ValueError, match="cells"):
-        fs.solve_spectrum(fb.make_preset("delta", -1e5), count=3)
+    # a huge attractive coupling solves: bisection on the level count needs
+    # no scan grid, whatever the depth of the bound state
+    sp = fs.solve_spectrum(fb.make_preset("delta", -1e5), count=3)
+    assert sp.energies[0] == pytest.approx(-2.5e9, rel=1e-9, abs=0)
